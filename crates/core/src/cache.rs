@@ -1,37 +1,35 @@
-//! The shared feature-vector cache.
+//! A sharded, read-through feature-vector cache.
 //!
-//! Vectorizing a pair — computing every similarity feature over its two
-//! records — is the dominant cost of blocking and candidate-set
-//! construction, and the same pair is routinely vectorized more than once
-//! in a run: the blocker's sample `S` overlaps the candidate set `C`, and
-//! the four seed pairs are vectorized by both the blocker and the engine.
-//! A [`FeatureCache`] owned by the engine run makes every repeat a cheap
-//! `Arc` clone.
+//! Engine runs do not use it: the candidate set's dense matrix is the one
+//! in-memory copy of every pair's feature vector the paper sizes `t_B`
+//! for (§4.1), and later phases read rows from it. No session or service
+//! option creates a cache, and snapshots do not carry one.
 //!
-//! The cache is sharded: a key hashes to one of a fixed number of
-//! independently locked shards, so concurrent `get_or_compute` calls from
-//! the parallel vectorization loops rarely contend. Vectorization itself
-//! always happens *outside* any lock.
+//! The type serves callers that replay phases outside the engine and want
+//! hit/miss counters over their own lookups:
+//! [`CandidateSet::build_with`](crate::CandidateSet::build_with) and
+//! [`RunEnv::vectorize`](crate::RunEnv::vectorize) consult one when it is
+//! passed in.
 //!
-//! Capacity is a bound on entries, enforced per shard by refusing new
-//! inserts once a shard is full (no eviction): the computed vector is
-//! still returned, it just isn't retained. This keeps memory bounded with
-//! zero bookkeeping on the hot hit path.
+//! A key hashes to one of a fixed number of independently locked shards,
+//! so concurrent `get_or_compute` calls rarely contend; vectorization
+//! itself always happens *outside* any lock. Capacity bounds entries per
+//! shard by refusing new inserts once a shard is full (no eviction): the
+//! computed vector is still returned, it just isn't retained.
 
 use crowd::PairKey;
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const N_SHARDS: usize = 16;
 
-/// Default entry capacity for a session's feature cache (~262k vectors).
+/// A default entry capacity (~262k vectors).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 18;
 
-/// Hit/miss/occupancy counters, surfaced in `RunReport`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+/// Hit/miss/occupancy counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
@@ -131,11 +129,6 @@ impl FeatureCache {
         value
     }
 
-    /// The vector for `key`, if resident (does not touch the counters).
-    pub fn peek(&self, key: PairKey) -> Option<Arc<Vec<f64>>> {
-        self.shards[Self::shard_of(key)].read().get(&key).map(Arc::clone)
-    }
-
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -145,64 +138,6 @@ impl FeatureCache {
             capacity: self.capacity,
         }
     }
-
-    /// Drop every entry (counters are kept).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-    }
-
-    /// Capture the cache's full contents and counters for a checkpoint.
-    /// Entries are sorted by key so the snapshot bytes are deterministic
-    /// regardless of insertion order or thread interleaving.
-    pub fn dump(&self) -> CacheSnapshot {
-        let mut entries: Vec<(PairKey, Vec<f64>)> = Vec::new();
-        for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
-                entries.push((*k, v.as_ref().clone()));
-            }
-        }
-        entries.sort_by_key(|(k, _)| *k);
-        CacheSnapshot {
-            capacity: self.capacity,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-        }
-    }
-
-    /// Rebuild a cache from a [`CacheSnapshot`]. The restored cache serves
-    /// the same hits a continued run would have seen (warm start) and its
-    /// counters continue from the recorded values, so cumulative cache
-    /// stats in a resumed run match the uninterrupted run's.
-    pub fn restore(snapshot: &CacheSnapshot) -> Self {
-        let cache = FeatureCache::with_capacity(snapshot.capacity);
-        for (k, v) in &snapshot.entries {
-            let shard = &cache.shards[Self::shard_of(*k)];
-            let mut guard = shard.write();
-            if guard.len() < cache.shard_capacity {
-                guard.insert(*k, Arc::new(v.clone()));
-            }
-        }
-        cache.hits.store(snapshot.hits, Ordering::Relaxed);
-        cache.misses.store(snapshot.misses, Ordering::Relaxed);
-        cache
-    }
-}
-
-/// Serializable image of a [`FeatureCache`]: configured capacity, counter
-/// values, and every resident `(pair, vector)` entry in key order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CacheSnapshot {
-    /// Requested entry capacity of the dumped cache.
-    pub capacity: usize,
-    /// Cumulative hit counter at dump time.
-    pub hits: u64,
-    /// Cumulative miss counter at dump time.
-    pub misses: u64,
-    /// Resident entries, sorted by key.
-    pub entries: Vec<(PairKey, Vec<f64>)>,
 }
 
 #[cfg(test)]
@@ -294,47 +229,5 @@ mod tests {
             FeatureCache::with_capacity(super::DEFAULT_CACHE_CAPACITY).stats().capacity,
             super::DEFAULT_CACHE_CAPACITY
         );
-    }
-
-    #[test]
-    fn dump_restore_round_trips_entries_and_counters() {
-        let cache = FeatureCache::with_capacity(1000);
-        for i in 0..50u32 {
-            cache.get_or_compute(key(i, i + 1), || vec![i as f64, 0.5]);
-        }
-        cache.get_or_compute(key(0, 1), || panic!("resident")); // one hit
-        let snap = cache.dump();
-        assert_eq!(snap.entries.len(), 50);
-        assert!(snap.entries.windows(2).all(|w| w[0].0 < w[1].0), "sorted by key");
-
-        let restored = FeatureCache::restore(&snap);
-        let s = restored.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.capacity), (1, 50, 50, 1000));
-        for i in 0..50u32 {
-            let v = restored.get_or_compute(key(i, i + 1), || panic!("must be warm"));
-            assert_eq!(*v, vec![i as f64, 0.5]);
-        }
-        // Dumps of original and restored caches are byte-identical modulo
-        // the hit counter we just advanced.
-        let again = restored.dump();
-        assert_eq!(again.entries, snap.entries);
-    }
-
-    #[test]
-    fn restore_respects_capacity() {
-        let mut snap = FeatureCache::with_capacity(N_SHARDS).dump();
-        snap.entries = (0..500u32).map(|i| (key(i, i), vec![i as f64])).collect();
-        let restored = FeatureCache::restore(&snap);
-        assert!(restored.stats().entries <= N_SHARDS);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_counters() {
-        let cache = FeatureCache::with_capacity(100);
-        cache.get_or_compute(key(1, 1), || vec![1.0]);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().misses, 1);
-        assert!(cache.peek(key(1, 1)).is_none());
     }
 }

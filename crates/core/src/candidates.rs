@@ -4,10 +4,10 @@
 //! The blocking threshold `t_B` is chosen so that "we can fit the feature
 //! vectors of all these pairs in memory" (§4.1) — this type is that
 //! in-memory materialization: a dense row-major matrix parallel to the
-//! pair list. Vectorization runs through the shared [`exec`] core since it
-//! is the dominant cost when `C` is large, and consults the run's
-//! [`FeatureCache`] when one is attached, so a pair vectorized by an
-//! earlier phase is never recomputed.
+//! pair list, and the only copy of those vectors a run keeps. Later
+//! phases read rows from it instead of re-vectorizing. Vectorization runs
+//! through the shared [`exec`] core since it is the dominant cost when
+//! `C` is large.
 
 use crate::cache::FeatureCache;
 use crate::source::{CandidateSource, CartesianScan};
@@ -25,20 +25,23 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     /// Materialize feature vectors for `pairs` using the task's
-    /// vectorizer, in parallel on the machine's available parallelism and
-    /// without a cache. Engine runs use [`CandidateSet::build_with`].
+    /// vectorizer, in parallel on the machine's available parallelism.
+    /// Engine runs use [`CandidateSet::build_with`].
     pub fn build(task: &MatchTask, pairs: Vec<PairKey>) -> Self {
         Self::build_with(task, pairs, Threads::auto(), None)
     }
 
     /// Materialize feature vectors for `pairs` with an explicit thread
-    /// budget, consulting `cache` (read-through) when given.
+    /// budget, consulting `cache` (read-through) when given. Engine runs
+    /// pass `None`. Builds the task's analysis layer first, on the same
+    /// budget, if no earlier call has.
     pub fn build_with(
         task: &MatchTask,
         pairs: Vec<PairKey>,
         threads: Threads,
         cache: Option<&FeatureCache>,
     ) -> Self {
+        task.ensure_analysis(threads);
         let n_features = task.n_features();
         let rows: Vec<Vec<f64>> = exec::par_map(threads, &pairs, |&key| match cache {
             Some(c) => c.get_or_compute(key, || task.vectorize(key)).as_ref().clone(),
@@ -54,30 +57,20 @@ impl CandidateSet {
     /// Materialize the pairs produced by a [`CandidateSource`]: generate
     /// (deterministic row-major order at any thread count), then
     /// vectorize. The Blocker's sole entry into this type.
-    pub fn from_source(
-        task: &MatchTask,
-        source: &dyn CandidateSource,
-        threads: Threads,
-        cache: Option<&FeatureCache>,
-    ) -> Self {
-        Self::build_with(task, source.generate(threads), threads, cache)
+    pub fn from_source(task: &MatchTask, source: &dyn CandidateSource, threads: Threads) -> Self {
+        Self::build_with(task, source.generate(threads), threads, None)
     }
 
     /// All `|A| × |B|` pairs, vectorized. Only sensible when the Cartesian
     /// product is at most `t_B` (the no-blocking path). An empty table on
     /// either side yields an empty set.
     pub fn full_cartesian(task: &MatchTask) -> Self {
-        Self::full_cartesian_with(task, Threads::auto(), None)
+        Self::full_cartesian_with(task, Threads::auto())
     }
 
-    /// [`CandidateSet::full_cartesian`] with an explicit thread budget and
-    /// optional feature cache.
-    pub fn full_cartesian_with(
-        task: &MatchTask,
-        threads: Threads,
-        cache: Option<&FeatureCache>,
-    ) -> Self {
-        Self::from_source(task, &CartesianScan::new(task, Vec::new()), threads, cache)
+    /// [`CandidateSet::full_cartesian`] with an explicit thread budget.
+    pub fn full_cartesian_with(task: &MatchTask, threads: Threads) -> Self {
+        Self::from_source(task, &CartesianScan::new(task, Vec::new()), threads)
     }
 
     /// Number of pairs.
@@ -234,12 +227,7 @@ mod tests {
     fn from_source_matches_full_cartesian() {
         let t = task();
         let direct = CandidateSet::full_cartesian(&t);
-        let via = CandidateSet::from_source(
-            &t,
-            &CartesianScan::new(&t, Vec::new()),
-            Threads::new(2),
-            None,
-        );
+        let via = CandidateSet::from_source(&t, &CartesianScan::new(&t, Vec::new()), Threads::new(2));
         assert_eq!(direct.pairs(), via.pairs());
         let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(direct.matrix()), bits(via.matrix()));

@@ -13,7 +13,6 @@
 // lint:allow-module(D3): perf-timing module — Instant::now feeds only RunReport.perf phase timings, which deterministic_json zeroes; no timing value reaches report bytes or control flow
 use crate::blocker::{run_blocker, BlockerReport};
 use crate::budget::BudgetPlan;
-use crate::cache::{CacheStats, FeatureCache};
 use crate::candidates::CandidateSet;
 use crate::config::CorleoneConfig;
 use crate::env::RunEnv;
@@ -73,8 +72,8 @@ pub struct PhaseTiming {
     pub millis: f64,
 }
 
-/// Execution telemetry for one run: thread budget, feature-cache
-/// counters, and per-phase wall-clock.
+/// Execution telemetry for one run: thread budget, per-phase
+/// wall-clock, and kernel counters.
 ///
 /// Everything here depends on the machine and scheduling, never on the
 /// matching outcome — [`RunReport::deterministic_json`] zeroes this block
@@ -83,8 +82,6 @@ pub struct PhaseTiming {
 pub struct PerfReport {
     /// Worker threads the run was given.
     pub threads: usize,
-    /// Feature-cache hit/miss/occupancy counters.
-    pub cache: CacheStats,
     /// Per-phase wall-clock, in pipeline order.
     pub phases: Vec<PhaseTiming>,
     /// Injected crowd faults and the recovery work they caused during
@@ -107,25 +104,18 @@ pub struct PerfReport {
 }
 
 /// Telemetry for the precomputed record-analysis layer and the similarity
-/// kernels it feeds (see `similarity::analysis`).
-///
-/// `cache.hits` counts pairs served without computing anything;
-/// `features_pre` counts features actually computed through the
-/// precomputed kernels (cache misses and uncached paths), so cache hits
-/// and precompute hits are separately attributable.
+/// kernels it feeds (see `similarity::analysis`). Every feature value is
+/// computed through those kernels, so `pairs_vectorized × n_features +
+/// single_features` is the run's feature-evaluation count.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KernelPerf {
     /// Wall-clock to build the task's record-analysis layer, in
     /// milliseconds (0 when another run of the same task already built it).
     pub analysis_build_ms: f64,
-    /// Pairs fully vectorized during this run (cache misses + uncached).
+    /// Pairs fully vectorized during this run.
     pub pairs_vectorized: u64,
     /// Single-feature evaluations (the blocker's lazy rule path).
     pub single_features: u64,
-    /// Feature values computed via the precomputed-analysis kernels.
-    pub features_pre: u64,
-    /// Feature values computed via the string-based reference kernels.
-    pub features_string: u64,
     /// Memory telemetry of the arena-packed analysis layer.
     pub analysis_memory: AnalysisMemory,
 }
@@ -208,8 +198,8 @@ pub struct RunReport {
     pub total_pairs_labeled: u64,
     /// Why the run ended (see [`Termination`]).
     pub termination: Termination,
-    /// Execution telemetry (threads, cache counters, phase wall-clock,
-    /// fault counters).
+    /// Execution telemetry (threads, phase wall-clock, fault and kernel
+    /// counters).
     pub perf: PerfReport,
 }
 
@@ -222,7 +212,7 @@ impl RunReport {
     /// JSON with the machine-dependent [`PerfReport`] zeroed out.
     ///
     /// Two same-seed runs produce byte-identical output from this method
-    /// regardless of thread count or cache configuration; plain
+    /// regardless of thread count; plain
     /// `serde_json::to_string` output differs in the `perf` block.
     ///
     /// # Panics
@@ -286,8 +276,7 @@ impl Engine {
     }
 
     /// Execute one full run. All session knobs arrive resolved: the
-    /// thread budget, the shared feature cache (`None` disables caching),
-    /// the RNG seed, and the checkpoint/resume plan.
+    /// thread budget, the RNG seed, and the checkpoint/resume plan.
     ///
     /// Composed from the stepping API so a driver that interleaves many
     /// runs ([`MatchService`-style](crate::engine::RunState)) exercises
@@ -300,15 +289,14 @@ impl Engine {
         oracle: &dyn TruthOracle,
         gold: Option<&HashSet<PairKey>>,
         threads: Threads,
-        cache: Option<&FeatureCache>,
         seed: u64,
         ckpt: CheckpointPlan,
     ) -> Result<RunReport, CorleoneError> {
-        let mut state = self.start_run(task, platform, oracle, gold, threads, cache, seed, ckpt)?;
+        let mut state = self.start_run(task, platform, oracle, gold, threads, seed, ckpt)?;
         while !state.is_done() {
-            self.step_run(&mut state, task, platform, oracle, gold, threads, cache)?;
+            self.step_run(&mut state, task, platform, oracle, gold, threads)?;
         }
-        Ok(self.finish_run(state, task, platform, gold, threads, cache))
+        Ok(self.finish_run(state, task, platform, gold, threads))
     }
 
     /// Stepping API, part 1 of 3: run everything up to the first
@@ -318,10 +306,10 @@ impl Engine {
     ///
     /// Drive the returned [`RunState`] with [`Self::step_run`] until it
     /// reports done, then assemble the report with [`Self::finish_run`].
-    /// The collaborators (`task`, `platform`, `oracle`, `gold`) and the
-    /// execution knobs (`threads`, `cache`) must be the same objects on
-    /// every call for one run; `RunState` holds no borrows so a scheduler
-    /// can interleave many runs' states over one thread pool.
+    /// The collaborators (`task`, `platform`, `oracle`, `gold`) must be
+    /// the same objects, and `threads` the same budget, on every call for
+    /// one run; `RunState` holds no borrows so a scheduler can interleave
+    /// many runs' states over one thread pool.
     #[allow(clippy::too_many_arguments)]
     pub fn start_run(
         &self,
@@ -330,12 +318,11 @@ impl Engine {
         oracle: &dyn TruthOracle,
         gold: Option<&HashSet<PairKey>>,
         threads: Threads,
-        cache: Option<&FeatureCache>,
         seed: u64,
         ckpt: CheckpointPlan,
     ) -> Result<RunState, CorleoneError> {
         let CheckpointPlan { snapshotter, every, resume } = ckpt;
-        let env = RunEnv { threads, cache };
+        let env = RunEnv { threads, cache: None };
         let resumed_from_iteration = resume.as_ref().map(|s| s.completed_iterations);
 
         // Build the record-analysis layer up front (a no-op when a prior
@@ -414,11 +401,11 @@ impl Engine {
                 ledger_start = snap.ledger_start;
                 fault_start = snap.fault_start;
                 // Vectorization is pure, so rebuilding the feature matrix
-                // from the stored pair keys (through the restored warm
-                // cache) reproduces it bit-for-bit. Billed as blocker
-                // time: the rebuild stands in for blocking on this path.
+                // from the stored pair keys reproduces it bit-for-bit.
+                // Billed as blocker time: the rebuild stands in for
+                // blocking on this path.
                 let t0 = Instant::now();
-                cand = CandidateSet::build_with(task, snap.cand_pairs, threads, cache);
+                cand = CandidateSet::build_with(task, snap.cand_pairs, threads, None);
                 t_blocker = snap.timings_ms[0] + t0.elapsed().as_secs_f64() * 1000.0;
                 t_matcher = snap.timings_ms[1];
                 t_estimator = snap.timings_ms[2];
@@ -505,7 +492,6 @@ impl Engine {
                     timings_ms: [t_blocker, t_matcher, t_estimator, t_locator],
                     forest_json: None,
                     platform: platform.export_state(),
-                    cache: cache.map(FeatureCache::dump),
                     snapshots_written: snapshots_written + 1,
                 };
                 sn.write(0, &snap)?;
@@ -559,7 +545,6 @@ impl Engine {
     /// state and collaborators; because the state is mutated only here,
     /// the interleaving order across runs cannot affect any single run's
     /// bytes.
-    #[allow(clippy::too_many_arguments)]
     pub fn step_run(
         &self,
         st: &mut RunState,
@@ -568,14 +553,13 @@ impl Engine {
         oracle: &dyn TruthOracle,
         gold: Option<&HashSet<PairKey>>,
         threads: Threads,
-        cache: Option<&FeatureCache>,
     ) -> Result<StepOutcome, CorleoneError> {
         let mut out = StepOutcome { iterated: false, checkpointed: false, finished: false };
         if st.done {
             out.finished = true;
             return Ok(out);
         }
-        let env = RunEnv { threads, cache };
+        let env = RunEnv { threads, cache: None };
         let iter_no = st.next_iter;
         if iter_no > self.cfg.engine.max_iterations || st.region.is_empty() {
             st.done = true;
@@ -788,7 +772,6 @@ impl Engine {
                     timings_ms: [st.t_blocker, st.t_matcher, st.t_estimator, st.t_locator],
                     forest_json: Some(learn.forest.to_json()),
                     platform: platform.export_state(),
-                    cache: cache.map(FeatureCache::dump),
                     snapshots_written: st.snapshots_written + 1,
                 };
                 sn.write(iter_no as u64, &snap)?;
@@ -808,7 +791,6 @@ impl Engine {
         platform: &mut CrowdPlatform,
         gold: Option<&HashSet<PairKey>>,
         threads: Threads,
-        cache: Option<&FeatureCache>,
     ) -> RunReport {
         let RunState {
             ledger_start,
@@ -862,7 +844,6 @@ impl Engine {
             termination,
             perf: PerfReport {
                 threads: threads.get(),
-                cache: cache.map(FeatureCache::stats).unwrap_or_default(),
                 phases: vec![
                     phase("blocker", t_blocker),
                     phase("matcher", t_matcher),
@@ -878,8 +859,6 @@ impl Engine {
                         analysis_build_ms,
                         pairs_vectorized: d.pairs_vectorized,
                         single_features: d.single_features,
-                        features_pre: d.features_pre,
-                        features_string: d.features_string,
                         analysis_memory: task
                             .analysis
                             .get()
@@ -1072,12 +1051,9 @@ mod tests {
             .as_ref()
             .expect("a run with at least one completed iteration always carries a final estimate");
         assert!((est.f1 - f1).abs() < 0.25, "est {} vs true {}", est.f1, f1);
-        // Telemetry is populated: phase timings exist, the cache saw
-        // traffic (seed pairs alone guarantee lookups).
+        // Telemetry is populated: phase timings exist.
         assert_eq!(report.perf.phases.len(), 4);
         assert!(report.perf.threads >= 1);
-        let c = report.perf.cache;
-        assert!(c.hits + c.misses > 0, "cache must have been consulted");
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //!
 //! Every hot loop — vectorization, rule application over `A × B`, forest
 //! training and prediction, entropy scans — runs on the shared [`exec`]
-//! work-stealing core, and each run owns a sharded
-//! [`FeatureCache`](cache::FeatureCache) so no pair is vectorized twice.
+//! work-stealing core, and each pair's feature vector is materialized
+//! once, in the [`CandidateSet`] matrix every later phase reads.
 //!
 //! ## Quick start
 //!
@@ -45,7 +45,7 @@
 //!     .threads(8)
 //!     .run();
 //! println!("estimated F1: {:?}", report.final_estimate);
-//! println!("cache hit rate: {:.1}%", report.perf.cache.hit_rate() * 100.0);
+//! println!("pairs vectorized: {}", report.perf.kernels.pairs_vectorized);
 //! ```
 //!
 //! ## Naming convention
@@ -115,7 +115,6 @@ pub use task::MatchTask;
 /// use corleone::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::cache::{CacheStats, FeatureCache};
     pub use crate::config::CorleoneConfig;
     pub use crate::engine::{Engine, RunReport, Termination};
     pub use crate::env::{RunEnv, Threads};

@@ -16,12 +16,6 @@ pub struct KernelCounters {
     /// Single-feature evaluations through [`MatchTask::feature`] (the
     /// blocker's lazy rule-application path).
     pub single_features: u64,
-    /// Individual feature values computed via the precomputed-analysis
-    /// kernels.
-    pub features_pre: u64,
-    /// Individual feature values computed via the string-based reference
-    /// kernels (analysis not built yet).
-    pub features_string: u64,
 }
 
 impl KernelCounters {
@@ -31,8 +25,6 @@ impl KernelCounters {
         KernelCounters {
             pairs_vectorized: self.pairs_vectorized - start.pairs_vectorized,
             single_features: self.single_features - start.single_features,
-            features_pre: self.features_pre - start.features_pre,
-            features_string: self.features_string - start.features_string,
         }
     }
 }
@@ -50,8 +42,6 @@ pub struct AnalysisCell {
     cell: OnceLock<Arc<TaskAnalysis>>,
     pairs_vectorized: AtomicU64,
     single_features: AtomicU64,
-    features_pre: AtomicU64,
-    features_string: AtomicU64,
 }
 
 impl AnalysisCell {
@@ -63,14 +53,8 @@ impl AnalysisCell {
     /// Batched counter add for single-feature evaluations: hot loops
     /// count locally and flush one atomic add per work item instead of
     /// contending on the shared counters once per feature.
-    pub fn note_single_features(&self, n_pre: u64, n_string: u64) {
-        self.single_features.fetch_add(n_pre + n_string, Ordering::Relaxed);
-        if n_pre > 0 {
-            self.features_pre.fetch_add(n_pre, Ordering::Relaxed);
-        }
-        if n_string > 0 {
-            self.features_string.fetch_add(n_string, Ordering::Relaxed);
-        }
+    pub fn note_single_features(&self, n: u64) {
+        self.single_features.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Install a prebuilt analysis handle (the shared-registry path:
@@ -91,8 +75,6 @@ impl AnalysisCell {
         KernelCounters {
             pairs_vectorized: self.pairs_vectorized.load(Ordering::Relaxed),
             single_features: self.single_features.load(Ordering::Relaxed),
-            features_pre: self.features_pre.load(Ordering::Relaxed),
-            features_string: self.features_string.load(Ordering::Relaxed),
         }
     }
 }
@@ -108,8 +90,6 @@ impl Clone for AnalysisCell {
             cell,
             pairs_vectorized: AtomicU64::new(c.pairs_vectorized),
             single_features: AtomicU64::new(c.single_features),
-            features_pre: AtomicU64::new(c.features_pre),
-            features_string: AtomicU64::new(c.features_string),
         }
     }
 }
@@ -194,10 +174,10 @@ impl MatchTask {
         }
     }
 
-    /// Build (once) and return the precomputed record-analysis layer.
-    /// Subsequent [`Self::vectorize`] / [`Self::feature`] calls route
-    /// through the allocation-free kernels; results are bit-identical
-    /// either way, so mixing paths is safe.
+    /// Build (once) and return the precomputed record-analysis layer that
+    /// [`Self::vectorize`] and [`Self::feature`] run on. Call it up front
+    /// to choose the build's thread budget; otherwise the first
+    /// vectorization builds it on the machine's available parallelism.
     pub fn ensure_analysis(&self, threads: Threads) -> &TaskAnalysis {
         self.analysis
             .cell
@@ -205,6 +185,16 @@ impl MatchTask {
                 Arc::new(self.vectorizer.analyze(&self.table_a, &self.table_b, threads))
             })
             .as_ref()
+    }
+
+    /// The built analysis, building it on the machine's available
+    /// parallelism first if needed. Resolving `Threads::auto()` costs
+    /// syscalls, so the per-pair hot path only does it on a miss.
+    fn analysis_or_build(&self) -> &TaskAnalysis {
+        match self.analysis.get() {
+            Some(an) => an,
+            None => self.ensure_analysis(Threads::auto()),
+        }
     }
 
     /// Current feature-kernel counters (cumulative over the task's life).
@@ -245,42 +235,24 @@ impl MatchTask {
         self.vectorizer.n_features()
     }
 
-    /// Compute the full feature vector of a pair, through the precomputed
-    /// analysis when it has been built (bit-identical either way).
+    /// Compute the full feature vector of a pair through the precomputed
+    /// analysis kernels (building the analysis on first use).
     pub fn vectorize(&self, pair: PairKey) -> Vec<f64> {
+        let an = self.analysis_or_build();
+        self.analysis.pairs_vectorized.fetch_add(1, Ordering::Relaxed);
         let a = self.table_a.record(pair.a);
         let b = self.table_b.record(pair.b);
-        let n = self.n_features() as u64;
-        self.analysis.pairs_vectorized.fetch_add(1, Ordering::Relaxed);
-        match self.analysis.get() {
-            Some(an) => {
-                self.analysis.features_pre.fetch_add(n, Ordering::Relaxed);
-                self.vectorizer.vectorize_pre(a, b, an)
-            }
-            None => {
-                self.analysis.features_string.fetch_add(n, Ordering::Relaxed);
-                self.vectorizer.vectorize(a, b)
-            }
-        }
+        self.vectorizer.vectorize_pre(a, b, an)
     }
 
     /// Compute one feature of a pair (lazy path for blocking-rule
-    /// application over `A × B`), through the precomputed analysis when
-    /// it has been built.
+    /// application over `A × B`) through the precomputed analysis kernels.
     pub fn feature(&self, idx: usize, pair: PairKey) -> f64 {
+        let an = self.analysis_or_build();
+        self.analysis.single_features.fetch_add(1, Ordering::Relaxed);
         let a = self.table_a.record(pair.a);
         let b = self.table_b.record(pair.b);
-        self.analysis.single_features.fetch_add(1, Ordering::Relaxed);
-        match self.analysis.get() {
-            Some(an) => {
-                self.analysis.features_pre.fetch_add(1, Ordering::Relaxed);
-                self.vectorizer.feature_pre(idx, a, b, an)
-            }
-            None => {
-                self.analysis.features_string.fetch_add(1, Ordering::Relaxed);
-                self.vectorizer.feature(idx, a, b)
-            }
-        }
+        self.vectorizer.feature_pre(idx, a, b, an)
     }
 
     /// Per-feature unit costs (for rule ranking, §4.3).

@@ -83,7 +83,9 @@ impl FeatureVectorizer {
         self.tfidf.get(attr).is_some_and(|m| m.is_some())
     }
 
-    /// Compute the full feature vector for a record pair.
+    /// Compute the full feature vector for a record pair through the
+    /// string kernels. This is the reference [`Self::vectorize_pre`] is
+    /// tested against; runtime callers use the precomputed path.
     pub fn vectorize(&self, a: &Record, b: &Record) -> Vec<f64> {
         self.lib
             .defs
@@ -93,8 +95,10 @@ impl FeatureVectorizer {
             .collect()
     }
 
-    /// Compute a single feature (by library index) for a record pair.
-    /// Returns `NaN` when either value is missing or mistyped.
+    /// Compute a single feature (by library index) for a record pair
+    /// through the string kernels — the reference for
+    /// [`Self::feature_pre`]. Returns `NaN` when either value is missing
+    /// or mistyped.
     pub fn feature(&self, idx: usize, a: &Record, b: &Record) -> f64 {
         let def = &self.lib.defs[idx];
         let va = a.value(def.attr);

@@ -65,7 +65,12 @@ use std::path::{Path, PathBuf};
 /// resume under a different `RunConfig` or feature schema refuses with a
 /// typed [`StoreError::FingerprintMismatch`] instead of silently
 /// diverging (see [`read_snapshot_checked`]).
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: the run-snapshot payload lost its `cache` field — runs no longer
+/// own a feature cache, so there are no cached vectors to persist. A v4
+/// snapshot fails with a typed [`StoreError::SchemaMismatch`] rather
+/// than decoding with its cache silently dropped.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Magic string identifying a snapshot file.
 pub const MAGIC: &str = "corleone.run-snapshot";

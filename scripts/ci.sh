@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> perfbench tests (the benchmark package builds against the library)"
+# perfbench/ is a package of its own, outside the workspace, so the test
+# step above never compiles it. Building and testing it here makes a
+# library change that breaks the benchmark fail CI.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -198,6 +198,20 @@ fn schema_version_mismatch_is_a_typed_error() {
         }
         other => panic!("expected SchemaMismatch, got {other:?}"),
     }
+
+    // A v4 snapshot, written when runs still persisted a feature cache,
+    // must be refused by version before its payload is looked at.
+    let v4 = text.replacen(&current, "\"schema_version\":4", 1).replacen(
+        "\"snapshots_written\":",
+        "\"cache\":{\"capacity\":8,\"hits\":1,\"misses\":4,\"entries\":[]},\"snapshots_written\":",
+        1,
+    );
+    assert!(v4.contains("\"cache\":{"), "payload layout changed; update the v4 probe");
+    std::fs::write(&latest, v4).expect("write v4 snapshot");
+    match try_resume(&task, &gold, &latest) {
+        Err(CorleoneError::Store(StoreError::SchemaMismatch { found: 4, expected: 5, .. })) => {}
+        other => panic!("expected SchemaMismatch {{ found: 4, expected: 5 }}, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

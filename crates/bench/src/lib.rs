@@ -354,4 +354,39 @@ mod tests {
         let platform = make_platform(&ds, 0.05, 1);
         assert_eq!(platform.ledger().total_cents, 0.0);
     }
+
+    #[test]
+    fn rolled_back_run_returns_the_best_iterations_result() {
+        // Paper §3: when the estimated accuracy stops improving, the run
+        // stops and keeps the previous iteration's result. On both inputs
+        // (15%-error smokes) the last iteration's estimated F1 falls below
+        // an earlier one's. Seed 9 goes 0.488 → 0.738 → 0.625; on seed 2
+        // the dropped iteration is also truly worse, so a run that kept
+        // its predictions would report the wrong `final_true`.
+        for seed in [9, 2] {
+            let opts =
+                ExpOptions { scale: 0.05, runs: 1, seed, error_rate: 0.15, ..Default::default() };
+            let (report, _) = run_corleone("restaurants", &opts, 0);
+            let last = report.iterations.last().expect("an iteration completed");
+            let best = report
+                .iterations
+                .iter()
+                .max_by(|a, b| a.estimate.f1.total_cmp(&b.estimate.f1))
+                .expect("an iteration completed");
+            assert!(
+                last.estimate.f1 < best.estimate.f1,
+                "seed {seed} no longer rolls back: iteration {} is the best of {}",
+                best.iteration,
+                last.iteration
+            );
+            let json =
+                |e: &corleone::AccuracyEstimate| serde_json::to_string(e).expect("serialize");
+            let final_estimate = report.final_estimate.as_ref().expect("best estimate");
+            assert_eq!(json(final_estimate), json(&best.estimate), "seed {seed}");
+            assert_eq!(report.final_true, best.true_prf, "seed {seed}");
+            if seed == 2 {
+                assert_ne!(last.true_prf, best.true_prf, "seed 2 no longer tells the two apart");
+            }
+        }
+    }
 }

@@ -63,6 +63,9 @@ pub struct IterationReport {
     pub locator: Option<LocatorReport>,
 }
 
+/// The pipeline phases [`PerfReport::phases`] times, in order.
+const PHASES: [&str; 4] = ["blocker", "matcher", "estimator", "locator"];
+
 /// Wall-clock spent in one pipeline phase, summed over iterations.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PhaseTiming {
@@ -309,21 +312,21 @@ impl Engine {
     /// The collaborators (`task`, `platform`, `oracle`, `gold`) must be
     /// the same objects, and `threads` the same budget, on every call for
     /// one run; `RunState` holds no borrows so a scheduler can interleave
-    /// many runs' states over one thread pool.
+    /// many runs' states over one thread pool. (`gold` is first read by
+    /// `step_run`; it is taken here so all three calls share one shape.)
     #[allow(clippy::too_many_arguments)]
     pub fn start_run(
         &self,
         task: &MatchTask,
         platform: &mut CrowdPlatform,
         oracle: &dyn TruthOracle,
-        gold: Option<&HashSet<PairKey>>,
+        _gold: Option<&HashSet<PairKey>>,
         threads: Threads,
         seed: u64,
         ckpt: CheckpointPlan,
     ) -> Result<RunState, CorleoneError> {
         let CheckpointPlan { snapshotter, every, resume } = ckpt;
         let env = RunEnv { threads, cache: None };
-        let resumed_from_iteration = resume.as_ref().map(|s| s.completed_iterations);
 
         // Build the record-analysis layer up front (a no-op when a prior
         // run of the same task already built it) so every downstream
@@ -347,85 +350,30 @@ impl Engine {
             }
             _ => None,
         };
+        let local = RunLocal {
+            seed_vectors: task
+                .seeds
+                .iter()
+                .map(|&(k, l)| (env.vectorize(task, k), l))
+                .collect(),
+            plan,
+            kernels_start,
+            analysis_build_ms,
+            snapshotter,
+            every,
+        };
 
-        // ---- Establish the loop state: run the Blocker (§4), or restore
-        // everything a completed snapshot captured and skip straight to
-        // the iteration after it.
-        let mut rng;
-        let ledger_start;
-        let fault_start;
-        let t_blocker;
-        let t_matcher;
-        let t_estimator;
-        let t_locator;
-        let cand: CandidateSet;
-        let blocker_report;
-        let predictions: Vec<bool>;
-        let known_labels: HashMap<usize, bool>;
-        let region: Vec<usize>;
-        let iterations: Vec<IterationReport>;
-        let best: Option<(AccuracyEstimate, Vec<bool>)>;
-        let start_iter;
-        let seed_hex;
-        let mut snapshots_written;
-
-        match resume {
-            Some(snap) => {
-                let snap = *snap;
-                if snap.n_features != task.n_features() {
-                    return Err(CorleoneError::Store(StoreError::Decode {
-                        path: String::new(),
-                        message: format!(
-                            "snapshot captured a task with {} features, this task has {}",
-                            snap.n_features,
-                            task.n_features()
-                        ),
-                    }));
-                }
-                if snap.predictions.len() != snap.cand_pairs.len() {
-                    return Err(CorleoneError::Store(StoreError::Decode {
-                        path: String::new(),
-                        message: format!(
-                            "snapshot is inconsistent: {} predictions for {} candidates",
-                            snap.predictions.len(),
-                            snap.cand_pairs.len()
-                        ),
-                    }));
-                }
-                // The caller's platform is overwritten wholesale: ledger,
-                // label cache, worker pool, fault counters, and both RNG
-                // stream positions continue exactly where the snapshot
-                // left them.
-                *platform = CrowdPlatform::import_state(&snap.platform)?;
-                rng = StdRng::from_state(store::decode_rng_state(&snap.rng_state)?);
-                ledger_start = snap.ledger_start;
-                fault_start = snap.fault_start;
-                // Vectorization is pure, so rebuilding the feature matrix
-                // from the stored pair keys reproduces it bit-for-bit.
-                // Billed as blocker time: the rebuild stands in for
-                // blocking on this path.
-                let t0 = Instant::now();
-                cand = CandidateSet::build_with(task, snap.cand_pairs, threads, None);
-                t_blocker = snap.timings_ms[0] + t0.elapsed().as_secs_f64() * 1000.0;
-                t_matcher = snap.timings_ms[1];
-                t_estimator = snap.timings_ms[2];
-                t_locator = snap.timings_ms[3];
-                blocker_report = snap.blocker_report;
-                predictions = snap.predictions;
-                known_labels = snap.known_labels.into_iter().collect();
-                region = snap.region;
-                iterations = snap.iterations;
-                best = snap.best;
-                start_iter = snap.completed_iterations + 1;
-                seed_hex = snap.seed_hex;
-                snapshots_written = snap.snapshots_written;
-            }
+        // ---- Establish the loop state: restore everything a completed
+        // snapshot captured and skip straight to the iteration after it,
+        // or run the Blocker (§4).
+        let mut st = match resume {
+            Some(snap) => RunState::restore(*snap, task, platform, threads, local)?,
             None => {
-                rng = StdRng::seed_from_u64(seed);
-                ledger_start = *platform.ledger();
-                fault_start = *platform.fault_stats();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let ledger_start = *platform.ledger();
+                let fault_start = *platform.fault_stats();
                 let mut blocker_matcher_cfg = self.cfg.matcher;
-                if let Some(p) = &plan {
+                if let Some(p) = &local.plan {
                     blocker_matcher_cfg.budget_cents_cap =
                         Some(ledger_start.total_cents + p.after_blocking);
                 }
@@ -439,95 +387,40 @@ impl Engine {
                     &mut rng,
                     &env,
                 );
-                t_blocker = t0.elapsed().as_secs_f64() * 1000.0;
-                t_matcher = 0.0;
-                t_estimator = 0.0;
-                t_locator = 0.0;
-                cand = blocked.candidates;
-                blocker_report = blocked.report;
-                predictions = vec![false; cand.len()];
-                known_labels = HashMap::new();
-                region = (0..cand.len()).collect();
-                iterations = Vec::new();
-                best = None;
-                start_iter = 1;
-                seed_hex = store::encode_u64(seed);
-                snapshots_written = 0;
+                let t_blocker = t0.elapsed().as_secs_f64() * 1000.0;
+                let n = blocked.candidates.len();
+                RunState {
+                    rng,
+                    ledger_start,
+                    fault_start,
+                    timings_ms: [t_blocker, 0.0, 0.0, 0.0],
+                    cand: blocked.candidates,
+                    blocker_report: blocked.report,
+                    predictions: vec![false; n],
+                    known_labels: HashMap::new(),
+                    region: (0..n).collect(),
+                    iterations: Vec::new(),
+                    best: None,
+                    next_iter: 1,
+                    seed_hex: store::encode_u64(seed),
+                    snapshots_written: 0,
+                    resumed_from_iteration: None,
+                    termination: Termination::Converged,
+                    done: false,
+                    local,
+                }
             }
-        }
-
-        let blocking_rec = gold.map(|g| {
-            let umbrella: HashSet<PairKey> = cand.pairs().iter().copied().collect();
-            blocking_recall(&umbrella, g)
-        });
-
-        if cand.is_empty() {
+        };
+        if st.cand.is_empty() {
             return Err(CorleoneError::EmptyCandidates);
         }
 
-        let seed_vectors: Vec<(Vec<f64>, bool)> = task
-            .seeds
-            .iter()
-            .map(|&(k, l)| (env.vectorize(task, k), l))
-            .collect();
-
         // Snapshot 0: the post-blocking boundary. A resume from here
         // skips the (expensive, crowd-labeled) blocking phase entirely.
-        if let Some(sn) = &snapshotter {
-            if resumed_from_iteration.is_none() {
-                let snap = RunSnapshot {
-                    seed_hex: seed_hex.clone(),
-                    completed_iterations: 0,
-                    rng_state: store::encode_rng_state(rng.state()),
-                    ledger_start,
-                    fault_start,
-                    cand_pairs: cand.pairs().to_vec(),
-                    n_features: cand.n_features(),
-                    blocker_report: blocker_report.clone(),
-                    predictions: predictions.clone(),
-                    known_labels: sorted_labels(&known_labels),
-                    region: region.clone(),
-                    iterations: iterations.clone(),
-                    best: best.clone(),
-                    timings_ms: [t_blocker, t_matcher, t_estimator, t_locator],
-                    forest_json: None,
-                    platform: platform.export_state(),
-                    snapshots_written: snapshots_written + 1,
-                };
-                sn.write(0, &snap)?;
-                snapshots_written += 1;
-            }
+        if st.resumed_from_iteration.is_none() {
+            st.checkpoint(platform)?;
         }
-
-        Ok(RunState {
-            rng,
-            ledger_start,
-            fault_start,
-            t_blocker,
-            t_matcher,
-            t_estimator,
-            t_locator,
-            cand,
-            blocker_report,
-            blocking_rec,
-            predictions,
-            known_labels,
-            region,
-            iterations,
-            best,
-            next_iter: start_iter,
-            seed_hex,
-            snapshots_written,
-            resumed_from_iteration,
-            seed_vectors,
-            plan,
-            kernels_start,
-            analysis_build_ms,
-            termination: Termination::Converged,
-            done: false,
-            snapshotter,
-            every,
-        })
+        Ok(st)
     }
 
     fn budget_left(&self, platform: &CrowdPlatform, ledger_start: &Ledger) -> bool {
@@ -579,14 +472,14 @@ impl Engine {
         if let Some(budget) = self.cfg.engine.budget_cents {
             matcher_cfg.budget_cents_cap = Some(st.ledger_start.total_cents + budget);
         }
-        if let Some(p) = &st.plan {
+        if let Some(p) = &st.local.plan {
             matcher_cfg.budget_cents_cap =
                 Some(st.ledger_start.total_cents + p.after_matching);
         }
         let t0 = Instant::now();
         let learn = run_active_learning(
             &sub,
-            &st.seed_vectors,
+            &st.local.seed_vectors,
             platform,
             oracle,
             &matcher_cfg,
@@ -597,14 +490,13 @@ impl Engine {
         for (sub_idx, label) in learn.crowd_labels() {
             st.known_labels.insert(st.region[sub_idx], label);
         }
-        let region_preds =
-            learn
-                .forest
-                .predict_batch(sub.matrix(), sub.n_features(), env.threads);
-        for (j, &global) in st.region.iter().enumerate() {
-            st.predictions[global] = region_preds[j];
-        }
-        st.t_matcher += t0.elapsed().as_secs_f64() * 1000.0;
+        // Install the region's new predictions; the swap leaves the
+        // previous ones in `rollback` for the stopping rule below.
+        let mut rollback = learn
+            .forest
+            .predict_batch(sub.matrix(), sub.n_features(), env.threads);
+        swap_region(&mut st.predictions, &st.region, &mut rollback);
+        st.timings_ms[1] += t0.elapsed().as_secs_f64() * 1000.0;
 
         // ---- Accuracy Estimator (§6) over the combined predictions.
         // Under a monetary budget, cap the estimator's label budget by
@@ -626,7 +518,7 @@ impl Engine {
                 .max(est_cfg.probe_batch);
             est_cfg.budget_cents_cap = Some(
                 st.ledger_start.total_cents
-                    + st.plan.as_ref().map_or(budget, |p| p.after_estimation),
+                    + st.local.plan.as_ref().map_or(budget, |p| p.after_estimation),
             );
         }
         let t0 = Instant::now();
@@ -641,7 +533,7 @@ impl Engine {
             &mut st.rng,
             &env,
         );
-        st.t_estimator += t0.elapsed().as_secs_f64() * 1000.0;
+        st.timings_ms[2] += t0.elapsed().as_secs_f64() * 1000.0;
         // Fold the estimator's uniform sample back into the shared
         // label pool (it is cached crowd knowledge either way).
 
@@ -681,16 +573,12 @@ impl Engine {
 
         // ---- Continue? (§3: stop when estimated accuracy no longer
         // improves; keep the previous iteration's result.)
-        let improved = st.best
-            .as_ref()
-            .is_none_or(|(b, _)| estimate.f1 > b.f1);
-        if improved {
-            st.best = Some((estimate.clone(), st.predictions.clone()));
+        if st.best.as_ref().is_none_or(|b| estimate.f1 > b.f1) {
+            st.best = Some(estimate.clone());
         } else {
-            // Roll back to the better previous result and stop.
-            if let Some((_, ref snap)) = st.best {
-                st.predictions.clone_from(snap);
-            }
+            // Roll back to the better previous result and stop. Only
+            // this region's predictions changed since `best` was set.
+            swap_region(&mut st.predictions, &st.region, &mut rollback);
             st.iterations.push(report);
             st.done = true;
             out.finished = true;
@@ -738,7 +626,7 @@ impl Engine {
             &mut st.rng,
             &env,
         );
-        st.t_locator += t0.elapsed().as_secs_f64() * 1000.0;
+        st.timings_ms[3] += t0.elapsed().as_secs_f64() * 1000.0;
         report.locator = Some(located.report.clone());
         st.iterations.push(report);
         match located.difficult {
@@ -753,31 +641,8 @@ impl Engine {
         // ---- Iteration boundary: the narrowest point of the loop.
         // No phase is mid-flight, so the state closure is complete —
         // checkpoint it.
-        if let Some(sn) = &st.snapshotter {
-            if st.every > 0 && iter_no.is_multiple_of(st.every) {
-                let snap = RunSnapshot {
-                    seed_hex: st.seed_hex.clone(),
-                    completed_iterations: iter_no,
-                    rng_state: store::encode_rng_state(st.rng.state()),
-                    ledger_start: st.ledger_start,
-                    fault_start: st.fault_start,
-                    cand_pairs: st.cand.pairs().to_vec(),
-                    n_features: st.cand.n_features(),
-                    blocker_report: st.blocker_report.clone(),
-                    predictions: st.predictions.clone(),
-                    known_labels: sorted_labels(&st.known_labels),
-                    region: st.region.clone(),
-                    iterations: st.iterations.clone(),
-                    best: st.best.clone(),
-                    timings_ms: [st.t_blocker, st.t_matcher, st.t_estimator, st.t_locator],
-                    forest_json: Some(learn.forest.to_json()),
-                    platform: platform.export_state(),
-                    snapshots_written: st.snapshots_written + 1,
-                };
-                sn.write(iter_no as u64, &snap)?;
-                st.snapshots_written += 1;
-                out.checkpointed = true;
-            }
+        if st.local.every > 0 && iter_no.is_multiple_of(st.local.every) {
+            out.checkpointed = st.checkpoint(platform)?;
         }
         Ok(out)
     }
@@ -795,28 +660,23 @@ impl Engine {
         let RunState {
             ledger_start,
             fault_start,
-            t_blocker,
-            t_matcher,
-            t_estimator,
-            t_locator,
+            timings_ms,
             cand,
             blocker_report,
-            blocking_rec,
-            mut predictions,
+            predictions,
             iterations,
-            best,
+            best: final_estimate,
             snapshots_written,
             resumed_from_iteration,
-            kernels_start,
-            analysis_build_ms,
             mut termination,
+            local,
             ..
         } = st;
         let ledger_end = *platform.ledger();
-        let final_estimate = best.as_ref().map(|(e, _)| e.clone());
-        if let Some((_, snap)) = best {
-            predictions = snap;
-        }
+        let blocking_rec = gold.map(|g| {
+            let umbrella: HashSet<PairKey> = cand.pairs().iter().copied().collect();
+            blocking_recall(&umbrella, g)
+        });
         let predicted: HashSet<PairKey> = predicted_pairs(&cand, &predictions);
         let final_true = gold.map(|g| evaluate(&predicted, g));
         let mut predicted_matches: Vec<PairKey> = predicted.into_iter().collect(); // lint:allow(D2): sorted on the next line before any use
@@ -831,7 +691,6 @@ impl Engine {
             termination = Termination::Degraded;
         }
 
-        let phase = |name: &str, millis: f64| PhaseTiming { phase: name.to_string(), millis };
         RunReport {
             blocker: blocker_report,
             blocking_recall: blocking_rec,
@@ -844,19 +703,18 @@ impl Engine {
             termination,
             perf: PerfReport {
                 threads: threads.get(),
-                phases: vec![
-                    phase("blocker", t_blocker),
-                    phase("matcher", t_matcher),
-                    phase("estimator", t_estimator),
-                    phase("locator", t_locator),
-                ],
+                phases: PHASES
+                    .iter()
+                    .zip(timings_ms)
+                    .map(|(name, millis)| PhaseTiming { phase: name.to_string(), millis })
+                    .collect(),
                 faults: fault_delta,
                 snapshots_written,
                 resumed_from_iteration,
                 kernels: {
-                    let d = task.kernel_counters().delta(&kernels_start);
+                    let d = task.kernel_counters().delta(&local.kernels_start);
                     KernelPerf {
-                        analysis_build_ms,
+                        analysis_build_ms: local.analysis_build_ms,
                         pairs_vectorized: d.pairs_vectorized,
                         single_features: d.single_features,
                         analysis_memory: task
@@ -904,28 +762,34 @@ pub struct RunState {
     rng: StdRng,
     ledger_start: Ledger,
     fault_start: FaultStats,
-    t_blocker: f64,
-    t_matcher: f64,
-    t_estimator: f64,
-    t_locator: f64,
+    /// Cumulative phase wall-clock in ms, indexed like [`PHASES`].
+    timings_ms: [f64; 4],
     cand: CandidateSet,
     blocker_report: BlockerReport,
-    blocking_rec: Option<f64>,
     predictions: Vec<bool>,
     known_labels: HashMap<usize, bool>,
     region: Vec<usize>,
     iterations: Vec<IterationReport>,
-    best: Option<(AccuracyEstimate, Vec<bool>)>,
+    /// The best estimate so far. Its predictions are `predictions`
+    /// whenever a step is not mid-flight: every step either improves on
+    /// it or rolls its region back and stops.
+    best: Option<AccuracyEstimate>,
     next_iter: usize,
     seed_hex: String,
     snapshots_written: u64,
     resumed_from_iteration: Option<usize>,
+    termination: Termination,
+    done: bool,
+    local: RunLocal,
+}
+
+/// The part of a [`RunState`] that no snapshot carries: derived from the
+/// task and configuration, or measured, by the process driving the run.
+struct RunLocal {
     seed_vectors: Vec<(Vec<f64>, bool)>,
     plan: Option<BudgetPlan>,
     kernels_start: KernelCounters,
     analysis_build_ms: f64,
-    termination: Termination,
-    done: bool,
     snapshotter: Option<Snapshotter>,
     every: usize,
 }
@@ -964,6 +828,94 @@ impl RunState {
     pub fn resumed_from_iteration(&self) -> Option<usize> {
         self.resumed_from_iteration
     }
+
+    /// Write this state as snapshot `completed_iterations` when
+    /// checkpointing is on; returns whether it wrote one. The only place
+    /// a [`RunSnapshot`] is built, and [`RunState::restore`] its inverse.
+    fn checkpoint(&mut self, platform: &CrowdPlatform) -> Result<bool, CorleoneError> {
+        let Some(sn) = &self.local.snapshotter else {
+            return Ok(false);
+        };
+        let snap = RunSnapshot {
+            seed_hex: self.seed_hex.clone(),
+            completed_iterations: self.completed_iterations(),
+            rng_state: store::encode_rng_state(self.rng.state()),
+            ledger_start: self.ledger_start,
+            fault_start: self.fault_start,
+            cand_pairs: self.cand.pairs().to_vec(),
+            n_features: self.cand.n_features(),
+            blocker_report: self.blocker_report.clone(),
+            predictions: self.predictions.clone(),
+            known_labels: sorted_labels(&self.known_labels),
+            region: self.region.clone(),
+            iterations: self.iterations.clone(),
+            best: self.best.clone(),
+            timings_ms: self.timings_ms,
+            platform: platform.export_state(),
+            snapshots_written: self.snapshots_written + 1,
+        };
+        sn.write(snap.completed_iterations as u64, &snap)?;
+        self.snapshots_written += 1;
+        Ok(true)
+    }
+
+    /// Continue a run from a decoded snapshot. The caller's platform is
+    /// overwritten wholesale: ledger, label cache, worker pool, fault
+    /// counters, and both RNG stream positions continue exactly where the
+    /// snapshot left them.
+    fn restore(
+        snap: RunSnapshot,
+        task: &MatchTask,
+        platform: &mut CrowdPlatform,
+        threads: Threads,
+        local: RunLocal,
+    ) -> Result<RunState, CorleoneError> {
+        let decode_error =
+            |message| CorleoneError::Store(StoreError::Decode { path: String::new(), message });
+        if snap.n_features != task.n_features() {
+            return Err(decode_error(format!(
+                "snapshot captured a task with {} features, this task has {}",
+                snap.n_features,
+                task.n_features()
+            )));
+        }
+        if snap.predictions.len() != snap.cand_pairs.len() {
+            return Err(decode_error(format!(
+                "snapshot is inconsistent: {} predictions for {} candidates",
+                snap.predictions.len(),
+                snap.cand_pairs.len()
+            )));
+        }
+        *platform = CrowdPlatform::import_state(&snap.platform)?;
+        let rng = StdRng::from_state(store::decode_rng_state(&snap.rng_state)?);
+        // Vectorization is pure, so rebuilding the feature matrix from the
+        // stored pair keys reproduces it bit-for-bit. Billed as blocker
+        // time: the rebuild stands in for blocking on this path.
+        let t0 = Instant::now();
+        let cand = CandidateSet::build_with(task, snap.cand_pairs, threads, None);
+        let mut timings_ms = snap.timings_ms;
+        timings_ms[0] += t0.elapsed().as_secs_f64() * 1000.0;
+        Ok(RunState {
+            rng,
+            ledger_start: snap.ledger_start,
+            fault_start: snap.fault_start,
+            timings_ms,
+            cand,
+            blocker_report: snap.blocker_report,
+            predictions: snap.predictions,
+            known_labels: snap.known_labels.into_iter().collect(),
+            region: snap.region,
+            iterations: snap.iterations,
+            best: snap.best,
+            next_iter: snap.completed_iterations + 1,
+            seed_hex: snap.seed_hex,
+            snapshots_written: snap.snapshots_written,
+            resumed_from_iteration: Some(snap.completed_iterations),
+            termination: Termination::Converged,
+            done: false,
+            local,
+        })
+    }
 }
 
 /// What one [`Engine::step_run`] call did.
@@ -984,6 +936,14 @@ fn sorted_labels(labels: &HashMap<usize, bool>) -> Vec<(usize, bool)> {
     let mut v: Vec<(usize, bool)> = labels.iter().map(|(&i, &l)| (i, l)).collect(); // lint:allow(D2): this IS the sanctioned collect+sort helper; sorted on the next line
     v.sort_unstable_by_key(|&(i, _)| i);
     v
+}
+
+/// Swap `values` into `predictions` at the positions in `region`, leaving
+/// the displaced predictions in `values`.
+fn swap_region(predictions: &mut [bool], region: &[usize], values: &mut [bool]) {
+    for (&global, v) in region.iter().zip(values) {
+        std::mem::swap(&mut predictions[global], v);
+    }
 }
 
 fn predicted_pairs(cand: &CandidateSet, predictions: &[bool]) -> HashSet<PairKey> {

@@ -11,7 +11,6 @@
 //! * the current difficult region (the next iteration's training set);
 //! * the surviving candidate set as pair keys (feature vectors are
 //!   recomputed deterministically on resume — vectorization is pure);
-//! * the last trained random-forest model, serialized;
 //! * the crowd platform in full ([`crowd::PlatformState`]): ledger,
 //!   label cache, worker pool (including attrition), fault counters, the
 //!   simulated clock, and — critically — the exact stream positions of the
@@ -77,15 +76,13 @@ pub struct RunSnapshot {
     pub region: Vec<usize>,
     /// Per-iteration reports accumulated so far.
     pub iterations: Vec<IterationReport>,
-    /// Best (estimate, predictions) seen so far — the pair the stopping
-    /// rule compares against and rolls back to.
-    pub best: Option<(AccuracyEstimate, Vec<bool>)>,
+    /// Best estimate seen so far — what the stopping rule compares the
+    /// next iteration's estimate against. Its predictions are
+    /// `predictions`: a snapshot follows only an improving iteration.
+    pub best: Option<AccuracyEstimate>,
     /// Cumulative phase wall-clock so far, in ms:
     /// `[blocker, matcher, estimator, locator]`.
     pub timings_ms: [f64; 4],
-    /// The most recently trained random-forest model, serialized with
-    /// [`forest::RandomForest::to_json`]. `None` only for snapshot 0.
-    pub forest_json: Option<String>,
     /// Complete crowd platform state (ledger, label cache, worker pool,
     /// fault layer, both RNG stream positions, simulated clock).
     pub platform: PlatformState,
@@ -115,7 +112,6 @@ mod tests {
             iterations: Vec::new(),
             best: None,
             timings_ms: [1.0, 2.0, 3.0, 4.0],
-            forest_json: None,
             platform: crowd::CrowdPlatform::new(
                 crowd::WorkerPool::perfect(3),
                 crowd::CrowdConfig::default(),

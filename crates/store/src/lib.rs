@@ -70,7 +70,12 @@ use std::path::{Path, PathBuf};
 /// own a feature cache, so there are no cached vectors to persist. A v4
 /// snapshot fails with a typed [`StoreError::SchemaMismatch`] rather
 /// than decoding with its cache silently dropped.
-pub const SCHEMA_VERSION: u32 = 5;
+///
+/// v6: the run-snapshot payload lost the serialized random forest (no
+/// resume ever read it back), and `best` carries the estimate only (its
+/// predictions always equalled `predictions`). A v5 snapshot fails with a
+/// typed [`StoreError::SchemaMismatch`].
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Magic string identifying a snapshot file.
 pub const MAGIC: &str = "corleone.run-snapshot";

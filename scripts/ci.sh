@@ -110,6 +110,32 @@ if ! diff -q "$ckpt_dir/reference/restaurants.json" "$ckpt_dir/resumed/restauran
 fi
 echo "resumed run is byte-identical to the uninterrupted reference"
 
+echo "==> kill-and-resume smoke from every snapshot (seed 9: iterates, then rolls back)"
+# The run above converges after one iteration, so it only ever resumes
+# from snapshot 0. This run takes several iterations and its last one
+# rolls back (paper §3), so resumes also start from post-iteration
+# snapshots and must still carry the run through the roll-back.
+roll_dir="$ckpt_dir/rollback"
+roll_flags=(--datasets restaurants --scale 0.05 --runs 1 --seed 9 --error 0.15)
+cargo run --release -q -p bench --bin smoke -- "${roll_flags[@]}" \
+    --checkpoint-dir "$roll_dir/snaps" --checkpoint-every 1 --checkpoint-keep 0 \
+    --emit-json "$roll_dir/reference"
+roll_snaps=("$roll_dir"/snaps/restaurants-run0/snap-*.json)
+if [ "${#roll_snaps[@]}" -lt 2 ]; then
+    echo "FAIL: the seed-9 run wrote ${#roll_snaps[@]} snapshot(s), expected at least 2" >&2
+    exit 1
+fi
+for snap in "${roll_snaps[@]}"; do
+    name=$(basename "$snap" .json)
+    cargo run --release -q -p bench --bin smoke -- "${roll_flags[@]}" \
+        --resume-from "$snap" --emit-json "$roll_dir/$name"
+    if ! diff -q "$roll_dir/reference/restaurants.json" "$roll_dir/$name/restaurants.json"; then
+        echo "resume from $snap diverged from the uninterrupted reference" >&2
+        exit 1
+    fi
+done
+echo "all ${#roll_snaps[@]} snapshots resumed byte-identically"
+
 echo "==> service smoke (3 concurrent tenants, kill mid-flight, restart)"
 # The multi-tenant durability contract end-to-end through the corleone-serve
 # bin: run three tenants uninterrupted for reference, then the same three

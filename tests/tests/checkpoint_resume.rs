@@ -47,17 +47,53 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run once: reference, then checkpointed (must match), then a resume from
-/// every retained snapshot (each must match), all at thread count
-/// `threads`. The platform any resumed session starts with is deliberately
-/// a *blank* one — `resume_from` must overwrite it wholesale with the
-/// snapshot's platform state.
-fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize) {
-    let (task, gold, price) = setup(0.1, 17);
-    let engine = Engine::new(CorleoneConfig::small()).with_seed(17);
+/// Data/engine/platform seeds at which the scale-0.05 restaurants run
+/// iterates past snapshot 0 (at least 2 snapshots), on a clean crowd and
+/// under the faults of [`faulty_run_resumes_byte_identically`].
+const ITERATING_SEED_CLEAN: u64 = 21;
+const ITERATING_SEED_FAULTY: u64 = 47;
+
+/// Check every iteration boundary of two inputs: the scale-0.1 seed-17
+/// restaurants run, which converges after one iteration (snapshot 0
+/// only), and the scale-0.05 run at `iterating_seed`, which writes at
+/// least one post-iteration snapshot. Some resume must start after an
+/// iteration, so the check cannot quietly shrink to snapshot 0 alone.
+fn assert_every_boundary_resumes(
+    tag: &str,
+    faults: FaultConfig,
+    iterating_seed: u64,
+    threads: usize,
+) {
+    let deepest = [(0.1, 17), (0.05, iterating_seed)]
+        .into_iter()
+        .map(|(scale, seed)| {
+            assert_input_resumes(&format!("{tag}-s{seed}"), scale, seed, faults, threads)
+        })
+        .fold(0, usize::max);
+    assert!(
+        deepest >= 1,
+        "no resume started from a post-iteration snapshot ({tag}, {threads} threads)"
+    );
+}
+
+/// Run one input: reference, then checkpointed (must match), then a
+/// resume from every retained snapshot (each must match), all at thread
+/// count `threads`. The platform any resumed session starts with is
+/// deliberately a *blank* one — `resume_from` must overwrite it wholesale
+/// with the snapshot's platform state. Returns the highest
+/// `completed_iterations` any resume started from.
+fn assert_input_resumes(
+    tag: &str,
+    scale: f64,
+    seed: u64,
+    faults: FaultConfig,
+    threads: usize,
+) -> usize {
+    let (task, gold, price) = setup(scale, seed);
+    let engine = Engine::new(CorleoneConfig::small()).with_seed(seed);
     let dir = fresh_dir(tag);
 
-    let mut p_ref = platform(price, 17, faults);
+    let mut p_ref = platform(price, seed, faults);
     let reference = engine
         .session(&task)
         .platform(&mut p_ref)
@@ -66,7 +102,7 @@ fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize)
         .threads(threads)
         .run();
 
-    let mut p_ck = platform(price, 17, faults);
+    let mut p_ck = platform(price, seed, faults);
     let checkpointed = engine
         .session(&task)
         .platform(&mut p_ck)
@@ -86,6 +122,7 @@ fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize)
 
     let snaps = store::Snapshotter::create(&dir).expect("open dir").list().expect("list");
     assert!(!snaps.is_empty(), "checkpointed run left no snapshots ({tag})");
+    let mut deepest = 0;
     for snap in &snaps {
         let mut p_res = CrowdPlatform::new(WorkerPool::perfect(1), CrowdConfig::default());
         let resumed = engine
@@ -101,24 +138,26 @@ fn assert_every_boundary_resumes(tag: &str, faults: FaultConfig, threads: usize)
             reference.deterministic_json(),
             "resume from {snap:?} diverged ({tag}, {threads} threads)"
         );
-        assert!(resumed.perf.resumed_from_iteration.is_some());
+        let from = resumed.perf.resumed_from_iteration.expect("a resumed run says where from");
+        deepest = deepest.max(from);
     }
     let _ = std::fs::remove_dir_all(&dir);
+    deepest
 }
 
 #[test]
 fn clean_run_resumes_byte_identically_one_thread() {
-    assert_every_boundary_resumes("clean-t1", FaultConfig::default(), 1);
+    assert_every_boundary_resumes("clean-t1", FaultConfig::default(), ITERATING_SEED_CLEAN, 1);
 }
 
 #[test]
 fn clean_run_resumes_byte_identically_two_threads() {
-    assert_every_boundary_resumes("clean-t2", FaultConfig::default(), 2);
+    assert_every_boundary_resumes("clean-t2", FaultConfig::default(), ITERATING_SEED_CLEAN, 2);
 }
 
 #[test]
 fn clean_run_resumes_byte_identically_eight_threads() {
-    assert_every_boundary_resumes("clean-t8", FaultConfig::default(), 8);
+    assert_every_boundary_resumes("clean-t8", FaultConfig::default(), ITERATING_SEED_CLEAN, 8);
 }
 
 #[test]
@@ -133,7 +172,12 @@ fn faulty_run_resumes_byte_identically() {
         ..Default::default()
     };
     for threads in [1, 2, 8] {
-        assert_every_boundary_resumes(&format!("faulty-t{threads}"), faults, threads);
+        assert_every_boundary_resumes(
+            &format!("faulty-t{threads}"),
+            faults,
+            ITERATING_SEED_FAULTY,
+            threads,
+        );
     }
 }
 
@@ -209,8 +253,21 @@ fn schema_version_mismatch_is_a_typed_error() {
     assert!(v4.contains("\"cache\":{"), "payload layout changed; update the v4 probe");
     std::fs::write(&latest, v4).expect("write v4 snapshot");
     match try_resume(&task, &gold, &latest) {
-        Err(CorleoneError::Store(StoreError::SchemaMismatch { found: 4, expected: 5, .. })) => {}
-        other => panic!("expected SchemaMismatch {{ found: 4, expected: 5 }}, got {other:?}"),
+        Err(CorleoneError::Store(StoreError::SchemaMismatch { found: 4, expected: 6, .. })) => {}
+        other => panic!("expected SchemaMismatch {{ found: 4, expected: 6 }}, got {other:?}"),
+    }
+
+    // Likewise a v5 snapshot, which still carried the serialized forest.
+    let v5 = text.replacen(&current, "\"schema_version\":5", 1).replacen(
+        "\"snapshots_written\":",
+        "\"forest_json\":null,\"snapshots_written\":",
+        1,
+    );
+    assert!(v5.contains("\"forest_json\":null"), "payload layout changed; update the v5 probe");
+    std::fs::write(&latest, v5).expect("write v5 snapshot");
+    match try_resume(&task, &gold, &latest) {
+        Err(CorleoneError::Store(StoreError::SchemaMismatch { found: 5, expected: 6, .. })) => {}
+        other => panic!("expected SchemaMismatch {{ found: 5, expected: 6 }}, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

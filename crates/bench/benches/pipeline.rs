@@ -38,6 +38,7 @@ fn bench_pipeline(c: &mut Criterion) {
         ],
         label: false,
         tree: 0,
+        leaf: 0,
         n_pos: 0,
         n_neg: 0,
     };

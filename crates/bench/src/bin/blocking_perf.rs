@@ -4,11 +4,13 @@
 //! ("string"), the precomputed-analysis Cartesian scan ("pre"), and the
 //! output-sensitive indexed join ("index_probe").
 //!
-//! Writes `BENCH_blocking.json` (v3: `{schema_version, records}` where
+//! Writes `BENCH_blocking.json` (v4: `{schema_version, records}` where
 //! each record is `{dataset, scale, phase, wall_ms, pairs_per_sec,
-//! analysis_bytes}` — the last being the resident bytes of the arena
-//! analysis for that dataset × scale) so future PRs have a perf
-//! trajectory, and prints a before/after table.
+//! analysis_bytes, threads, host_cores}` — `analysis_bytes` being the
+//! resident bytes of the arena analysis for that dataset × scale, and
+//! `threads` / `host_cores` the worker threads the run used and the
+//! cores the host offers) so future PRs have a perf trajectory, and
+//! prints a before/after table.
 //!
 //! Phases per dataset × scale:
 //! * `analysis_build`   — one-time `TableAnalysis` build (rate = records/s)
@@ -49,8 +51,9 @@ use std::time::Instant;
 
 /// Bump when the JSON layout changes. v2 added the envelope object and
 /// the `index_probe` phase; v3 added the `char_kernels_string` /
-/// `char_kernels_pre` phases and the per-record `analysis_bytes` field.
-const BENCH_SCHEMA_VERSION: u32 = 3;
+/// `char_kernels_pre` phases and the per-record `analysis_bytes` field;
+/// v4 added the per-record `threads` and `host_cores` fields.
+const BENCH_SCHEMA_VERSION: u32 = 4;
 
 #[derive(Debug, Clone, Serialize)]
 struct BenchRecord {
@@ -63,6 +66,10 @@ struct BenchRecord {
     /// scale (same value on every phase record of the combination;
     /// backfilled after the analysis builds).
     analysis_bytes: u64,
+    /// Worker threads the phase ran on (`--threads`, default all cores).
+    threads: usize,
+    /// Cores the host offers (`available_parallelism`).
+    host_cores: usize,
 }
 
 #[derive(Debug, Serialize)]
@@ -155,6 +162,7 @@ fn bench_rules(task: &MatchTask) -> Vec<Rule> {
             predicates: vec![pred(exact, 0.5), pred(jac, 0.2)],
             label: false,
             tree: 0,
+            leaf: 0,
             n_pos: 0,
             n_neg: 1,
         });
@@ -164,6 +172,7 @@ fn bench_rules(task: &MatchTask) -> Vec<Rule> {
             predicates: vec![pred(cos, 0.1)],
             label: false,
             tree: 0,
+            leaf: 0,
             n_pos: 0,
             n_neg: 1,
         });
@@ -313,6 +322,8 @@ fn main() {
                     wall_ms,
                     pairs_per_sec: rate,
                     analysis_bytes: 0,
+                    threads: threads.get(),
+                    host_cores: Threads::auto().get(),
                 });
                 (wall_ms, rate)
             };

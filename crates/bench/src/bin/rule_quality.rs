@@ -8,14 +8,14 @@
 //! ~9–16 positive rules on Citations/Products.
 
 use bench::{dataset, make_platform, make_task, mean, parse_args, render_table};
-use corleone::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
+use corleone::ruleeval::{dense_labels, evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
 use corleone::{run_active_learning, CandidateSet, CorleoneConfig, Threads};
 use crowd::TruthOracle;
-use forest::{negative_rules, positive_rules, Rule};
+use forest::{Rule, RuleCoverage};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// True precision of a rule over the candidate subset it covers.
 fn true_precision(
@@ -80,20 +80,17 @@ fn main() {
                 Threads::auto(),
             );
         let known: HashMap<usize, bool> = learn.crowd_labels().collect();
-        let known_pos: HashSet<usize> =
-            known.iter().filter_map(|(&i, &l)| l.then_some(i)).collect();
-        let known_neg: HashSet<usize> =
-            known.iter().filter_map(|(&i, &l)| (!l).then_some(i)).collect();
+        let known_dense = dense_labels(&known, cand.len());
+        let coverage = RuleCoverage::route(
+            &learn.forest,
+            cand.matrix(),
+            cand.n_features(),
+            None,
+            Threads::auto(),
+        );
 
-        let mut audit = |rules: Vec<Rule>, opposite: &HashSet<usize>| -> (usize, Vec<f64>) {
-            let scored = select_top_rules(
-                rules,
-                &cand,
-                None,
-                opposite,
-                cfg.blocker.k_rules,
-                Threads::auto(),
-            );
+        let mut audit = |label: bool| -> (usize, Vec<f64>) {
+            let scored = select_top_rules(&coverage, label, &known_dense, cfg.blocker.k_rules);
             let mut pool = known.clone();
             let kept: Vec<_> = evaluate_rules_jointly(
                 scored,
@@ -114,8 +111,8 @@ fn main() {
             (kept.len(), precisions)
         };
 
-        let (n_neg, p_neg) = audit(negative_rules(&learn.forest), &known_pos);
-        let (n_pos, p_pos) = audit(positive_rules(&learn.forest), &known_neg);
+        let (n_neg, p_neg) = audit(false);
+        let (n_pos, p_pos) = audit(true);
 
         let fmt = |ps: &[f64]| {
             if ps.is_empty() {

@@ -14,16 +14,16 @@ use crate::config::{BlockerConfig, MatcherConfig};
 use crate::env::RunEnv;
 use crate::learner::{run_active_learning, LearnOutcome};
 use crate::ruleeval::{
-    coverage_of, evaluate_rules_jointly, select_top_rules, EvaluatedRule, RuleEvalConfig,
+    dense_labels, evaluate_rules_jointly, select_top_rules, EvaluatedRule, RuleEvalConfig,
 };
 use crate::source::{plan_blocking_source, CandidateSource, CartesianScan};
 use crate::task::MatchTask;
 use crowd::{CrowdPlatform, PairKey, TruthOracle};
-use forest::{negative_rules, Rule};
+use forest::{Rule, RuleCoverage};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// What the Blocker did, for reporting (paper Table 3).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -149,22 +149,25 @@ pub fn run_blocker(
     // 4. Extract candidate blocking rules (§4.1 step 4) and select top k
     //    by the precision upper bound (§4.2 step 1), with T = examples the
     //    crowd labeled positive during active learning.
-    let candidates_rules = negative_rules(&learn.forest);
-    let rules_extracted = candidates_rules.len();
-    let known_pos: HashSet<usize> = learn.crowd_positives.iter().copied().collect();
-    let scored = select_top_rules(
-        candidates_rules,
-        &sample,
+    let mut label_pool: HashMap<usize, bool> = learn.crowd_labels().collect();
+    let coverage = RuleCoverage::route(
+        &learn.forest,
+        sample.matrix(),
+        sample.n_features(),
         None,
-        &known_pos,
-        cfg.k_rules,
         env.threads,
+    );
+    let rules_extracted = coverage.rules().iter().filter(|r| !r.label).count();
+    let scored = select_top_rules(
+        &coverage,
+        false,
+        &dense_labels(&label_pool, sample.len()),
+        cfg.k_rules,
     );
     let rules_evaluated = scored.len();
 
     // 5. Crowd evaluation (§4.2 step 2), seeded with the labels gathered
     //    during active learning so they are reused for free.
-    let mut label_pool: HashMap<usize, bool> = learn.crowd_labels().collect();
     let eval_cfg = RuleEvalConfig {
         batch: cfg.eval_batch,
         p_min: cfg.p_min,
@@ -206,26 +209,25 @@ pub fn run_blocker(
     //    the crowd already labeled positive. A rule covering a witnessed
     //    positive provably blocks a real match, so such rules are only
     //    applied when no clean rule remains.
-    let known_pos_set: HashSet<usize> = label_pool
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| l.then_some(i))
-        .collect();
+    let known = dense_labels(&label_pool, sample.len());
     let costs = task.feature_costs();
     let target = sample.len() as f64 * (cfg.t_b as f64 / cartesian as f64);
-    let mut current: Vec<usize> = (0..sample.len()).collect();
+    // The residue of S: pairs no applied rule has covered yet.
+    let mut alive = vec![true; sample.len()];
+    let mut n_alive = sample.len();
     let mut remaining = kept;
     let mut applied: Vec<EvaluatedRule> = Vec::new();
-    while current.len() as f64 > target && !remaining.is_empty() {
-        // Score every remaining rule on the current residue of S; each
-        // rule's coverage scan is independent, so fan out across rules.
+    while n_alive as f64 > target && !remaining.is_empty() {
+        // Score every remaining rule on the current residue of S: its
+        // coverage on S, restricted to the pairs still alive.
         let scored: Vec<(usize, f64, Vec<usize>)> =
             exec::indexed_par_map(env.threads, remaining.len(), |i| {
                 let er = &remaining[i];
-                let cov = coverage_of(&er.rule, &sample, Some(&current));
+                let cov: Vec<usize> = er.coverage.iter().copied().filter(|&j| alive[j]).collect();
                 if cov.is_empty() {
                     return None;
                 }
-                let cov_frac = cov.len() as f64 / current.len() as f64;
+                let cov_frac = cov.len() as f64 / n_alive as f64;
                 let cost = er.rule.eval_cost(&costs);
                 let score = er.est_precision * cov_frac / (1.0 + cost / 10.0);
                 Some((i, score, cov))
@@ -249,14 +251,16 @@ pub fn run_blocker(
         };
         let clean: Vec<&(usize, f64, Vec<usize>)> = scored
             .iter()
-            .filter(|(_, _, cov)| !cov.iter().any(|i| known_pos_set.contains(i)))
+            .filter(|(_, _, cov)| !cov.iter().any(|&j| known[j] == Some(true)))
             .collect();
         let all: Vec<&(usize, f64, Vec<usize>)> = scored.iter().collect();
         let (i, _, cov) = pick_best(&clean)
             .or_else(|| pick_best(&all))
             .expect("non-empty");
-        let covered: HashSet<usize> = cov.into_iter().collect();
-        current.retain(|idx| !covered.contains(idx));
+        for &j in &cov {
+            alive[j] = false;
+        }
+        n_alive -= cov.len();
         applied.push(remaining.swap_remove(i));
     }
 
@@ -303,6 +307,7 @@ mod tests {
     use forest::{Op, Predicate};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn toy_task(n: usize) -> (MatchTask, GoldOracle) {
@@ -416,6 +421,7 @@ mod tests {
             }],
             label: false,
             tree: 0,
+            leaf: 0,
             n_pos: 0,
             n_neg: 0,
         };

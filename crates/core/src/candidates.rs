@@ -12,7 +12,7 @@
 use crate::cache::FeatureCache;
 use crate::source::{CandidateSource, CartesianScan};
 use crate::task::MatchTask;
-use crowd::PairKey;
+use crowd::{CrowdPlatform, PairKey, Scheme, TruthOracle};
 use exec::Threads;
 
 /// Pairs plus their feature vectors.
@@ -124,6 +124,31 @@ impl CandidateSet {
         }
         CandidateSet { pairs, n_features: self.n_features, matrix }
     }
+}
+
+/// Have the crowd label the candidates `indices` of `cand`; returns
+/// `(index, label)` for every pair that got labeled. Answers map back to
+/// indices through the batch itself, so no key-to-index map over all of
+/// `cand` is needed.
+pub(crate) fn crowd_label(
+    platform: &mut CrowdPlatform,
+    oracle: &dyn TruthOracle,
+    cand: &CandidateSet,
+    indices: &[usize],
+    scheme: Scheme,
+) -> Vec<(usize, bool)> {
+    let keys: Vec<PairKey> = indices.iter().map(|&i| cand.pair(i)).collect();
+    platform
+        .label_batch(oracle, &keys, scheme)
+        .into_iter()
+        .map(|(key, label)| {
+            let j = keys
+                .iter()
+                .position(|&k| k == key)
+                .expect("the crowd only answers pairs it was asked about");
+            (indices[j], label)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@ use exec::Threads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use store::{Snapshotter, StoreError};
@@ -465,8 +466,13 @@ impl Engine {
             out.finished = true;
             return Ok(out);
         }
-        // ---- Matcher (§5) on this iteration's region.
-        let sub = st.cand.subset(&st.region);
+        // ---- Matcher (§5) on this iteration's region; the first region
+        // is all of C, which needs no copy.
+        let sub = if st.region.len() == st.cand.len() {
+            Cow::Borrowed(&st.cand)
+        } else {
+            Cow::Owned(st.cand.subset(&st.region))
+        };
         let ledger_m = *platform.ledger();
         let mut matcher_cfg = self.cfg.matcher;
         if let Some(budget) = self.cfg.engine.budget_cents {

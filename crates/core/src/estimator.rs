@@ -22,18 +22,20 @@
 //!   so overall precision is the in-set precision scaled by
 //!   `pp_active / pp_total`.
 
-use crate::candidates::CandidateSet;
+use crate::candidates::{crowd_label, CandidateSet};
 use crate::config::EstimatorConfig;
 use crate::env::RunEnv;
 use crate::metrics::Prf;
-use crate::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig, ScoredRule};
+use crate::ruleeval::{
+    dense_labels, evaluate_rules_jointly, select_top_rules, RuleEvalConfig, ScoredRule,
+};
 use crowd::stats::{fpc_margin, required_sample_size, z_for_confidence};
-use crowd::{CrowdPlatform, PairKey, TruthOracle};
-use forest::{negative_rules, RandomForest};
+use crowd::{CrowdPlatform, TruthOracle};
+use forest::{RandomForest, RuleCoverage};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The estimator's output.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -76,10 +78,9 @@ struct SampleStats {
     n_ap: usize,
 }
 
-fn sample_stats(x: &HashMap<usize, bool>, predictions: &[bool]) -> SampleStats {
+fn sample_stats(x: &[(usize, bool)], predictions: &[bool]) -> SampleStats {
     let mut s = SampleStats { n: 0, n_pp: 0, n_tp: 0, n_ap: 0 };
-    for (&i, &label) in x { // lint:allow(D2): order-free integer counting; no float accumulation, no serialization
-
+    for &(i, label) in x {
         s.n += 1;
         if predictions[i] {
             s.n_pp += 1;
@@ -139,28 +140,18 @@ pub fn estimate_accuracy(
 
     // Candidate reduction rules: top-k negative rules of the matcher's
     // forest by precision upper bound (§6.2 step 1) — *not* yet evaluated.
-    let known_pos: HashSet<usize> = known_labels
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| l.then_some(i))
-        .collect();
-    let mut remaining: Vec<ScoredRule> = select_top_rules(
-        negative_rules(matcher_forest),
-        cand,
-        None,
-        &known_pos,
-        cfg.k_rules,
-        env.threads,
-    );
+    let n = cand.len();
+    let coverage =
+        RuleCoverage::route(matcher_forest, cand.matrix(), cand.n_features(), None, env.threads);
+    let mut remaining: Vec<ScoredRule> =
+        select_top_rules(&coverage, false, &dense_labels(known_labels, n), cfg.k_rules);
 
-    let mut active: Vec<usize> = (0..cand.len()).collect();
-    let mut active_set: HashSet<usize> = active.iter().copied().collect();
-    let mut x: HashMap<usize, bool> = HashMap::new();
-    let key_to_idx: HashMap<PairKey, usize> = cand
-        .pairs()
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
+    // The active population (ascending) with its membership mask, and the
+    // uniform sample X in sampling order with its membership mask.
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut in_active = vec![true; n];
+    let mut x: Vec<(usize, bool)> = Vec::new();
+    let mut in_x = vec![false; n];
 
     let mut rules_used = 0usize;
     let mut rounds = 0usize;
@@ -179,17 +170,13 @@ pub fn estimate_accuracy(
         }
 
         // --- Probe: extend the uniform sample over the active set.
-        let mut unsampled: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|i| !x.contains_key(i))
-            .collect();
+        let mut unsampled: Vec<usize> = active.iter().copied().filter(|&i| !in_x[i]).collect();
         if !unsampled.is_empty() {
             unsampled.shuffle(rng);
             unsampled.truncate(cfg.probe_batch);
-            let keys: Vec<PairKey> = unsampled.iter().map(|&i| cand.pair(i)).collect();
-            for (key, label) in platform.label_batch(oracle, &keys, cfg.scheme) {
-                x.insert(key_to_idx[&key], label);
+            for (i, label) in crowd_label(platform, oracle, cand, &unsampled, cfg.scheme) {
+                in_x[i] = true;
+                x.push((i, label));
             }
         }
 
@@ -248,14 +235,6 @@ pub fn estimate_accuracy(
         let r_guess = if s.n_ap > 0 { r.clamp(0.1, 0.9) } else { 0.5 };
         let p_guess = if s.n_pp > 0 { p_in.clamp(0.1, 0.9) } else { 0.5 };
 
-        let coverages: Vec<Vec<usize>> = exec::par_map(env.threads, &remaining, |sr| {
-            sr.coverage
-                .iter()
-                .copied()
-                .filter(|i| active_set.contains(i))
-                .collect()
-        });
-
         let sampling_labels = |active_len: usize, pp_len: usize, ap_est: f64, have: usize| {
             if active_len == 0 {
                 return usize::MAX / 4;
@@ -277,27 +256,34 @@ pub fn estimate_accuracy(
         let mut best_cost =
             sampling_labels(active.len(), pp_active, ap_active_est, x.len()) as f64;
         let mut eval_cost_acc = 0.0;
-        let mut removed_union: HashSet<usize> = HashSet::new();
-        for j in 1..=remaining.len() {
-            let sr = &remaining[j - 1];
-            let cov = &coverages[j - 1];
+        // Executing rules 1..=j removes the union of their active
+        // coverages; its size and how many predicted positives and sampled
+        // pairs it holds grow as each rule is added.
+        let mut removed = vec![false; n];
+        let (mut n_removed, mut pp_removed, mut x_removed) = (0usize, 0usize, 0usize);
+        for (j, sr) in remaining.iter().enumerate() {
+            let mut cov_len = 0usize;
+            for &i in sr.coverage.iter().filter(|&&i| in_active[i]) {
+                cov_len += 1;
+                if !removed[i] {
+                    removed[i] = true;
+                    n_removed += 1;
+                    pp_removed += usize::from(predictions[i]);
+                    x_removed += usize::from(in_x[i]);
+                }
+            }
             // Cost of evaluating this rule's precision to ε_max.
             eval_cost_acc +=
-                required_sample_size(cfg.p_min(), cov.len().max(1), z, cfg.eps_max) as f64;
-            removed_union.extend(cov.iter().copied());
-            let _ = sr;
-            let active_after = active.len().saturating_sub(removed_union.len());
-            let pp_after = active
-                .iter()
-                .filter(|&&i| predictions[i] && !removed_union.contains(&i))
-                .count();
-            let have_after = x.keys().filter(|i| !removed_union.contains(i)).count(); // lint:allow(D2): order-free count; no floats touched during iteration
+                required_sample_size(cfg.p_min(), cov_len.max(1), z, cfg.eps_max) as f64;
+            let active_after = active.len().saturating_sub(n_removed);
+            let pp_after = pp_active - pp_removed;
+            let have_after = x.len() - x_removed;
             // Assuming precise rules, all actual positives stay.
             let cost = eval_cost_acc
                 + sampling_labels(active_after, pp_after, ap_active_est, have_after) as f64;
             if cost < best_cost {
                 best_cost = cost;
-                best_j = j;
+                best_j = j + 1;
             }
         }
 
@@ -311,18 +297,13 @@ pub fn estimate_accuracy(
         let chosen: Vec<ScoredRule> = remaining
             .drain(..best_j)
             .map(|sr| ScoredRule {
-                coverage: sr
-                    .coverage
-                    .iter()
-                    .copied()
-                    .filter(|i| active_set.contains(i))
-                    .collect(),
+                coverage: sr.coverage.iter().copied().filter(|&i| in_active[i]).collect(),
                 ..sr
             })
             .filter(|sr| !sr.coverage.is_empty())
             .collect();
         let mut eval_pool: HashMap<usize, bool> = known_labels.clone();
-        eval_pool.extend(x.iter().map(|(&i, &l)| (i, l))); // lint:allow(D2): order-free map-to-map merge; insertion order does not affect map contents
+        eval_pool.extend(x.iter().copied());
         let eval_cfg = RuleEvalConfig {
             eps_max: cfg.eps_max,
             confidence: cfg.confidence,
@@ -339,13 +320,14 @@ pub fn estimate_accuracy(
         for er in evaluated.iter().filter(|e| e.kept) {
             rules_used += 1;
             for &i in &er.coverage {
-                active_set.remove(&i);
+                in_active[i] = false;
+                in_x[i] = false;
             }
         }
-        active.retain(|i| active_set.contains(i));
+        active.retain(|&i| in_active[i]);
         // Keep the uniform sample consistent with the reduced population:
         // conditioning a uniform sample on membership stays uniform.
-        x.retain(|i, _| active_set.contains(i)); // lint:allow(D2): pure membership predicate; retain outcome is order-independent
+        x.retain(|&(i, _)| in_active[i]);
         if active.is_empty() {
             break;
         }

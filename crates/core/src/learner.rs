@@ -8,17 +8,16 @@
 //! entropy, weight-sampled down to `q` for diversity) → have the crowd
 //! label them under the `2+1` scheme → repeat.
 
-use crate::candidates::CandidateSet;
+use crate::candidates::{crowd_label, CandidateSet};
 use crate::config::MatcherConfig;
 use crate::stopping::{check, peak_index, StopDecision};
-use crowd::{CrowdPlatform, PairKey, Scheme, TruthOracle};
+use crowd::{CrowdPlatform, Scheme, TruthOracle};
 use exec::Threads;
 use forest::{Dataset, RandomForest};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 
 /// Why the learning loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,10 +71,8 @@ pub fn entropies(
     indices: &[usize],
     threads: Threads,
 ) -> Vec<f64> {
-    if indices.len() < 8192 || threads.get() <= 1 {
-        return indices.iter().map(|&i| forest.entropy(cand.row(i))).collect();
-    }
-    exec::par_map(threads, indices, |&i| forest.entropy(cand.row(i)))
+    let threads = if indices.len() < 8192 { Threads::new(1) } else { threads };
+    forest.entropy_batch(cand.matrix(), cand.n_features(), indices, threads)
 }
 
 /// Rank an `(index, entropy)` pool for batch selection: highest entropy
@@ -104,12 +101,6 @@ pub fn run_active_learning(
 ) -> LearnOutcome {
     assert!(!seed_examples.is_empty(), "need initial labeled examples");
     let n_features = cand.n_features();
-    let key_to_idx: HashMap<PairKey, usize> = cand
-        .pairs()
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
 
     // Monitoring set V: a random monitor_fraction of C, set aside (§5.3).
     let mut all: Vec<usize> = (0..cand.len()).collect();
@@ -117,7 +108,12 @@ pub fn run_active_learning(
     let n_monitor = ((cand.len() as f64 * cfg.monitor_fraction).round() as usize)
         .clamp(1.min(cand.len()), cand.len() / 2);
     let monitor: Vec<usize> = all[..n_monitor].to_vec();
-    let monitor_set: HashSet<usize> = monitor.iter().copied().collect();
+    // Candidates that can no longer be selected: the monitoring set, and
+    // every pair labeled so far.
+    let mut excluded = vec![false; cand.len()];
+    for &i in &monitor {
+        excluded[i] = true;
+    }
 
     let mut train = Dataset::new(n_features);
     for (x, l) in seed_examples {
@@ -128,7 +124,6 @@ pub fn run_active_learning(
         RandomForest::train_par(t, &idx, &cfg.forest, rng, threads)
     };
 
-    let mut selected: HashSet<usize> = HashSet::new();
     let mut crowd_positives = Vec::new();
     let mut crowd_negatives = Vec::new();
     let mut pairs_labeled = 0usize;
@@ -164,9 +159,7 @@ pub fn run_active_learning(
 
         // Select the next batch: top-p entropy, then entropy-weighted
         // sampling of q for diversity (§5.2).
-        let selectable: Vec<usize> = (0..cand.len())
-            .filter(|i| !selected.contains(i) && !monitor_set.contains(i))
-            .collect();
+        let selectable: Vec<usize> = (0..cand.len()).filter(|&i| !excluded[i]).collect();
         if selectable.is_empty() {
             stop = StopReason::Exhausted;
             break;
@@ -178,17 +171,16 @@ pub fn run_active_learning(
         rank_pool(&mut pool, cfg.pool_size);
         let batch = weighted_sample_without_replacement(&pool, cfg.batch_size, rng);
 
-        let keys: Vec<PairKey> = batch.iter().map(|&i| cand.pair(i)).collect();
-        let labeled = platform.label_batch(oracle, &keys, Scheme::TwoPlusOne);
+        let labeled = crowd_label(platform, oracle, cand, &batch, Scheme::TwoPlusOne);
         if labeled.is_empty() {
             stop = StopReason::Exhausted;
             break;
         }
-        for (key, label) in labeled {
-            let idx = key_to_idx[&key];
-            if !selected.insert(idx) {
+        for (idx, label) in labeled {
+            if excluded[idx] {
                 continue;
             }
+            excluded[idx] = true;
             train.push(cand.row(idx), label);
             pairs_labeled += 1;
             if label {
@@ -258,6 +250,7 @@ mod tests {
     use crowd::{CrowdConfig, GoldOracle, WorkerPool};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     /// A task where identical names match: 30 A records, 40 B records,

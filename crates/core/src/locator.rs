@@ -11,12 +11,12 @@
 use crate::candidates::CandidateSet;
 use crate::config::LocatorConfig;
 use crate::env::RunEnv;
-use crate::ruleeval::{evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
+use crate::ruleeval::{dense_labels, evaluate_rules_jointly, select_top_rules, RuleEvalConfig};
 use crowd::{CrowdPlatform, TruthOracle};
-use forest::{negative_rules, positive_rules, RandomForest};
+use forest::{RandomForest, RuleCoverage};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Locator result.
 #[derive(Debug, Clone)]
@@ -66,34 +66,21 @@ pub fn locate_difficult_pairs(
     env: &RunEnv<'_>,
 ) -> LocatorOutcome {
     let ledger_start = *platform.ledger();
-    let known_pos: HashSet<usize> = known_labels
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| l.then_some(i))
-        .collect();
-    let known_neg: HashSet<usize> = known_labels
-        .iter() // lint:allow(D2): order-free map-to-set projection used only for membership tests
-        .filter_map(|(&i, &l)| (!l).then_some(i))
-        .collect();
+    let known = dense_labels(known_labels, cand.len());
 
     // 1. Top-k precise negative and positive rules (§7 step 1), each
-    //    validated by the crowd like blocking rules.
+    //    validated by the crowd like blocking rules. One routing pass
+    //    gives the coverage of both kinds.
     let mut label_pool: HashMap<usize, bool> = known_labels.clone();
-    let neg_scored = select_top_rules(
-        negative_rules(matcher_forest),
-        cand,
+    let coverage = RuleCoverage::route(
+        matcher_forest,
+        cand.matrix(),
+        cand.n_features(),
         Some(within),
-        &known_pos,
-        cfg.k_rules,
         env.threads,
     );
-    let pos_scored = select_top_rules(
-        positive_rules(matcher_forest),
-        cand,
-        Some(within),
-        &known_neg,
-        cfg.k_rules,
-        env.threads,
-    );
+    let neg_scored = select_top_rules(&coverage, false, &known, cfg.k_rules);
+    let pos_scored = select_top_rules(&coverage, true, &known, cfg.k_rules);
     let neg_eval = evaluate_rules_jointly(
         neg_scored, cand, platform, oracle, eval_cfg, rng, &mut label_pool,
     );
@@ -102,22 +89,15 @@ pub fn locate_difficult_pairs(
     );
 
     // 2. Remove everything covered by a kept rule (§7 step 2).
-    let mut covered: HashSet<usize> = HashSet::new();
-    let mut n_neg_used = 0usize;
-    let mut n_pos_used = 0usize;
-    for er in neg_eval.iter().filter(|e| e.kept) {
-        n_neg_used += 1;
-        covered.extend(er.coverage.iter().copied());
+    let n_neg_used = neg_eval.iter().filter(|e| e.kept).count();
+    let n_pos_used = pos_eval.iter().filter(|e| e.kept).count();
+    let mut covered = vec![false; cand.len()];
+    for er in neg_eval.iter().chain(&pos_eval).filter(|e| e.kept) {
+        for &i in &er.coverage {
+            covered[i] = true;
+        }
     }
-    for er in pos_eval.iter().filter(|e| e.kept) {
-        n_pos_used += 1;
-        covered.extend(er.coverage.iter().copied());
-    }
-    let difficult: Vec<usize> = within
-        .iter()
-        .copied()
-        .filter(|i| !covered.contains(i))
-        .collect();
+    let difficult: Vec<usize> = within.iter().copied().filter(|&i| !covered[i]).collect();
 
     // 3. Termination tests (§7 step 3).
     let termination = if difficult.len() < cfg.min_difficult {
@@ -161,6 +141,7 @@ mod tests {
     use crowd::{CrowdConfig, GoldOracle, WorkerPool};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     fn setup() -> (CandidateSet, RandomForest, HashMap<usize, bool>, GoldOracle, CrowdPlatform)

@@ -12,15 +12,14 @@
 //! finite-population margin `ε` decides keep (`P ≥ P_min`, `ε ≤ ε_max`) or
 //! drop (`P + ε < P_min`, or `ε ≤ ε_max` with `P < P_min`).
 
-use crate::candidates::CandidateSet;
+use crate::candidates::{crowd_label, CandidateSet};
 use crowd::stats::{fpc_margin, z_for_confidence};
-use crowd::{CrowdPlatform, PairKey, Scheme, TruthOracle};
-use exec::Threads;
-use forest::Rule;
+use crowd::{CrowdPlatform, Scheme, TruthOracle};
+use forest::{Predicate, Rule, RuleCoverage};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A candidate rule with its coverage and precision upper bound.
 #[derive(Debug, Clone)]
@@ -33,68 +32,55 @@ pub struct ScoredRule {
     pub ub_precision: f64,
 }
 
-/// Indices of `cand` covered by the rule, optionally restricted to a
-/// subset of indices.
-pub fn coverage_of(rule: &Rule, cand: &CandidateSet, within: Option<&[usize]>) -> Vec<usize> {
-    match within {
-        Some(idx) => idx
-            .iter()
-            .copied()
-            .filter(|&i| rule.matches(cand.row(i)))
-            .collect(),
-        None => (0..cand.len())
-            .filter(|&i| rule.matches(cand.row(i)))
-            .collect(),
+/// A label pool keyed by candidate index as a dense array over the `n`
+/// candidates: `out[i]` is the known label of candidate `i`, if any.
+pub fn dense_labels(labels: &HashMap<usize, bool>, n: usize) -> Vec<Option<bool>> {
+    let mut out = vec![None; n];
+    for (&i, &l) in labels { // lint:allow(D2): each entry writes its own slot, so the array is independent of visit order
+        out[i] = Some(l);
     }
+    out
 }
 
-/// Score rules and keep the top `k` by precision upper bound, breaking
-/// ties by coverage size (§4.2 step 1). `known_opposite` holds candidate
-/// indices already crowd-labeled with the class *opposite* to the rules'
-/// prediction (for negative rules: the known positives `T`). Rules with
-/// empty coverage and duplicate rules (same predicates and label, from
-/// different trees) are discarded.
+/// Score the forest's rules predicting `label` and keep the top `k` by
+/// precision upper bound, breaking ties by coverage size (§4.2 step 1).
+/// `known` holds the crowd labels gathered so far, by candidate index
+/// (see [`dense_labels`]); a covered example known to carry the opposite
+/// label is a violation. Rules with empty coverage and duplicate rules
+/// (same predicates, from different trees) are discarded.
 pub fn select_top_rules(
-    rules: Vec<Rule>,
-    cand: &CandidateSet,
-    within: Option<&[usize]>,
-    known_opposite: &HashSet<usize>,
+    coverage: &RuleCoverage,
+    label: bool,
+    known: &[Option<bool>],
     k: usize,
-    threads: Threads,
 ) -> Vec<ScoredRule> {
-    let mut seen: Vec<(Vec<forest::Predicate>, bool)> = Vec::new();
-    let mut unique: Vec<Rule> = Vec::new();
-    for rule in rules {
-        let sig = (rule.predicates.clone(), rule.label);
-        if seen.contains(&sig) {
+    let mut seen: Vec<&[Predicate]> = Vec::new();
+    let mut ranked: Vec<(usize, f64)> = Vec::new();
+    for (r, rule) in coverage.rules().iter().enumerate() {
+        if rule.label != label || seen.contains(&rule.predicates.as_slice()) {
             continue;
         }
-        seen.push(sig);
-        unique.push(rule);
-    }
-    // Coverage scans are the expensive part and independent per rule.
-    let mut scored: Vec<ScoredRule> = exec::par_map(threads, &unique, |rule| {
-        let coverage = coverage_of(rule, cand, within);
-        if coverage.is_empty() {
-            return None;
+        seen.push(&rule.predicates);
+        let covered = coverage.covered(r);
+        if covered.is_empty() {
+            continue;
         }
-        let violations = coverage
-            .iter()
-            .filter(|i| known_opposite.contains(i))
-            .count();
-        let ub_precision = (coverage.len() - violations) as f64 / coverage.len() as f64;
-        Some(ScoredRule { rule: rule.clone(), coverage, ub_precision })
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    scored.sort_by(|a, b| {
-        b.ub_precision
-            .total_cmp(&a.ub_precision)
-            .then(b.coverage.len().cmp(&a.coverage.len()))
+        let violations = covered.iter().filter(|&&i| known[i] == Some(!label)).count();
+        ranked.push((r, (covered.len() - violations) as f64 / covered.len() as f64));
+    }
+    ranked.sort_by(|a, b| {
+        b.1.total_cmp(&a.1)
+            .then(coverage.covered(b.0).len().cmp(&coverage.covered(a.0).len()))
     });
-    scored.truncate(k);
-    scored
+    ranked.truncate(k);
+    ranked
+        .into_iter()
+        .map(|(r, ub_precision)| ScoredRule {
+            rule: coverage.rules()[r].clone(),
+            coverage: coverage.covered(r).to_vec(),
+            ub_precision,
+        })
+        .collect()
 }
 
 /// Parameters for crowd rule evaluation.
@@ -160,12 +146,6 @@ pub fn evaluate_rules_jointly(
     prior_labels: &mut HashMap<usize, bool>,
 ) -> Vec<EvaluatedRule> {
     let z = z_for_confidence(cfg.confidence);
-    let key_to_idx: HashMap<PairKey, usize> = cand
-        .pairs()
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
 
     struct State {
         scored: ScoredRule,
@@ -176,13 +156,16 @@ pub fn evaluate_rules_jointly(
         .map(|s| State { scored: s, decided: None })
         .collect();
 
-    let stats = |s: &ScoredRule, labels: &HashMap<usize, bool>| -> (usize, usize) {
+    // Dense mirror of `prior_labels`, updated in step with it.
+    let mut labels = dense_labels(prior_labels, cand.len());
+    // (labeled, labeled with the rule's own label) over a rule's coverage.
+    let stats = |s: &ScoredRule, labels: &[Option<bool>]| -> (usize, usize) {
         let mut n = 0;
         let mut ok = 0;
-        for i in &s.coverage {
-            if let Some(&l) = labels.get(i) {
+        for &i in &s.coverage {
+            if let Some(l) = labels[i] {
                 n += 1;
-                if l == s.scored_label() {
+                if l == s.rule.label {
                     ok += 1;
                 }
             }
@@ -195,7 +178,7 @@ pub fn evaluate_rules_jointly(
         rounds += 1;
         // Decide what we can with current labels.
         for st in states.iter_mut().filter(|s| s.decided.is_none()) {
-            let (n, ok) = stats(&st.scored, prior_labels);
+            let (n, ok) = stats(&st.scored, &labels);
             let m = st.scored.coverage.len();
             if n == 0 {
                 continue;
@@ -223,7 +206,7 @@ pub fn evaluate_rules_jointly(
         // Finalize whatever is still undecided from the labels in hand —
         // used when sampling must stop (coverage exhausted, budget cap,
         // round cap, or a crowd that stopped returning labels).
-        let finalize = |states: &mut Vec<State>, labels: &HashMap<usize, bool>| {
+        let finalize = |states: &mut Vec<State>, labels: &[Option<bool>]| {
             for st in states.iter_mut().filter(|s| s.decided.is_none()) {
                 let (n, ok) = stats(&st.scored, labels);
                 let p = if n > 0 { ok as f64 / n as f64 } else { 0.0 };
@@ -241,35 +224,34 @@ pub fn evaluate_rules_jointly(
             break;
         }
         if rounds > 500 {
-            finalize(&mut states, prior_labels);
+            finalize(&mut states, &labels);
             break;
         }
         if let Some(cap) = cfg.budget_cents_cap {
             if platform.ledger().total_cents >= cap {
-                finalize(&mut states, prior_labels);
+                finalize(&mut states, &labels);
                 break;
             }
         }
         // Sample from the union of undecided coverages, unlabeled only.
-        let mut union: Vec<usize> = states
-            .iter()
-            .filter(|s| s.decided.is_none())
-            .flat_map(|s| s.scored.coverage.iter().copied())
-            .filter(|i| !prior_labels.contains_key(i))
-            .collect();
-        union.sort_unstable();
-        union.dedup();
+        // The shuffle below makes its order part of the result: ascending.
+        let mut in_union = vec![false; cand.len()];
+        for st in states.iter().filter(|s| s.decided.is_none()) {
+            for &i in &st.scored.coverage {
+                in_union[i] = labels[i].is_none();
+            }
+        }
+        let mut union: Vec<usize> = (0..cand.len()).filter(|&i| in_union[i]).collect();
         if union.is_empty() {
             // Exhausted: finalize the stragglers from exact coverage stats.
-            finalize(&mut states, prior_labels);
+            finalize(&mut states, &labels);
             break;
         }
         union.shuffle(rng);
         union.truncate(cfg.batch);
-        let keys: Vec<PairKey> = union.iter().map(|&i| cand.pair(i)).collect();
-        let labeled = platform.label_batch(oracle, &keys, cfg.scheme);
-        for (key, label) in labeled {
-            prior_labels.insert(key_to_idx[&key], label);
+        for (i, label) in crowd_label(platform, oracle, cand, &union, cfg.scheme) {
+            labels[i] = Some(label);
+            prior_labels.insert(i, label);
         }
     }
 
@@ -279,19 +261,14 @@ pub fn evaluate_rules_jointly(
         .collect()
 }
 
-impl ScoredRule {
-    /// The label a covered example must carry for the rule to be correct.
-    fn scored_label(&self) -> bool {
-        self.rule.label
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::{task_from_parts, MatchTask};
-    use crowd::{CrowdConfig, GoldOracle, WorkerPool};
-    use forest::{Op, Predicate};
+    use crowd::{CrowdConfig, GoldOracle, PairKey, WorkerPool};
+    use exec::Threads;
+    use forest::tree::Node;
+    use forest::{DecisionTree, Op, RandomForest};
     use rand::SeedableRng;
     use similarity::{Attribute, Schema, Table, Value};
     use std::sync::Arc;
@@ -313,57 +290,99 @@ mod tests {
         (task, gold, cand)
     }
 
-    /// A negative rule over the exact-match feature: exact < 0.5 → NO.
-    fn exact_rule(task: &MatchTask, label: bool) -> Rule {
+    /// The scan that leaf routing replaces: indices of `cand` (optionally
+    /// only those in `within`, in that order) the rule matches.
+    fn coverage_of(rule: &Rule, cand: &CandidateSet, within: Option<&[usize]>) -> Vec<usize> {
+        let all: Vec<usize> = (0..cand.len()).collect();
+        within
+            .unwrap_or(&all)
+            .iter()
+            .copied()
+            .filter(|&i| rule.matches(cand.row(i)))
+            .collect()
+    }
+
+    /// A tree splitting on the exact-match feature at 0.5 (NaN left): the
+    /// left leaf (`exact <= 0.5`) says NO, the right leaf says `right`.
+    fn exact_tree(task: &MatchTask, right: bool) -> DecisionTree {
         let f = task
             .feature_names()
             .iter()
             .position(|n| n == "name_exact")
             .unwrap();
-        let op = if label { Op::Gt } else { Op::Le };
-        Rule {
-            predicates: vec![Predicate { feature: f, op, threshold: 0.5, nan_satisfies: !label }],
-            label,
-            tree: 0,
-            n_pos: 0,
-            n_neg: 0,
-        }
+        DecisionTree::from_nodes(vec![
+            Node::Split { feature: f as u32, threshold: 0.5, nan_left: true, left: 1, right: 2 },
+            Node::Leaf { label: false, n_pos: 0, n_neg: 0 },
+            Node::Leaf { label: right, n_pos: 0, n_neg: 0 },
+        ])
+    }
+
+    /// A single-leaf tree: its one rule covers everything.
+    fn stump(label: bool) -> DecisionTree {
+        DecisionTree::from_nodes(vec![Node::Leaf { label, n_pos: 0, n_neg: 0 }])
+    }
+
+    fn route(trees: Vec<DecisionTree>, cand: &CandidateSet) -> RuleCoverage {
+        let forest = RandomForest::from_trees(trees);
+        RuleCoverage::route(&forest, cand.matrix(), cand.n_features(), None, Threads::new(2))
+    }
+
+    fn no_labels(cand: &CandidateSet) -> Vec<Option<bool>> {
+        vec![None; cand.len()]
+    }
+
+    fn evaluate(
+        scored: Vec<ScoredRule>,
+        cand: &CandidateSet,
+        gold: &GoldOracle,
+        seed: u64,
+        labels: &mut HashMap<usize, bool>,
+    ) -> Vec<EvaluatedRule> {
+        let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
+        let mut rng = StdRng::seed_from_u64(seed);
+        evaluate_rules_jointly(
+            scored,
+            cand,
+            &mut platform,
+            gold,
+            &RuleEvalConfig::default(),
+            &mut rng,
+            labels,
+        )
     }
 
     #[test]
     fn coverage_of_counts_correctly() {
         let (task, _, cand) = toy();
-        let neg = exact_rule(&task, false);
-        let cov = coverage_of(&neg, &cand, None);
-        assert_eq!(cov.len(), 144 - 12, "all off-diagonal pairs");
-        let within: Vec<usize> = (0..24).collect();
-        let cov2 = coverage_of(&neg, &cand, Some(&within));
-        assert!(cov2.len() < cov.len());
-        assert!(cov2.iter().all(|i| within.contains(i)));
+        let cov = route(vec![exact_tree(&task, true)], &cand);
+        let neg = &cov.rules()[0];
+        assert!(!neg.label);
+        let all = coverage_of(neg, &cand, None);
+        assert_eq!(all.len(), 144 - 12, "all off-diagonal pairs");
+        assert_eq!(cov.covered(0), all.as_slice(), "leaf routing equals the scan");
+        let within: Vec<usize> = (0..24).rev().collect();
+        let part = coverage_of(neg, &cand, Some(&within));
+        assert!(part.len() < all.len());
+        assert!(part.iter().all(|i| within.contains(i)));
+        let forest = RandomForest::from_trees(vec![exact_tree(&task, true)]);
+        let (m, nf) = (cand.matrix(), cand.n_features());
+        let routed = RuleCoverage::route(&forest, m, nf, Some(&within), Threads::new(1));
+        assert_eq!(routed.covered(0), part.as_slice(), "routed rows keep `within` order");
     }
 
     #[test]
     fn select_top_rules_ranks_by_upper_bound() {
         let (task, _, cand) = toy();
-        let good = exact_rule(&task, false); // covers only true negatives
-        let bad = Rule {
-            predicates: vec![],
-            label: false,
-            tree: 1,
-            n_pos: 0,
-            n_neg: 0,
-        }; // covers everything incl. positives
+        // Tree 0's rule covers everything incl. positives; tree 1's NO
+        // leaf covers only true negatives.
+        let cov = route(vec![stump(false), exact_tree(&task, true)], &cand);
         // Crowd has labeled two diagonal pairs positive.
-        let known_pos: HashSet<usize> = [
-            cand.index_of(PairKey::new(0, 0)).unwrap(),
-            cand.index_of(PairKey::new(1, 1)).unwrap(),
-        ]
-        .into_iter()
-        .collect();
-        let top =
-            select_top_rules(vec![bad, good.clone()], &cand, None, &known_pos, 2, Threads::new(2));
+        let mut known = no_labels(&cand);
+        known[cand.index_of(PairKey::new(0, 0)).unwrap()] = Some(true);
+        known[cand.index_of(PairKey::new(1, 1)).unwrap()] = Some(true);
+        let top = select_top_rules(&cov, false, &known, 2);
         assert_eq!(top.len(), 2);
-        assert_eq!(top[0].rule, good, "clean rule must rank first");
+        assert_eq!(top[0].rule.tree, 1, "clean rule must rank first");
         assert_eq!(top[0].ub_precision, 1.0);
         assert!(top[1].ub_precision < 1.0);
     }
@@ -371,64 +390,28 @@ mod tests {
     #[test]
     fn duplicate_rules_are_collapsed() {
         let (task, _, cand) = toy();
-        let r = exact_rule(&task, false);
-        let top = select_top_rules(
-            vec![r.clone(), r.clone(), r],
-            &cand,
-            None,
-            &HashSet::new(),
-            10,
-            Threads::new(1),
-        );
+        let cov = route((0..3).map(|_| exact_tree(&task, true)).collect(), &cand);
+        let top = select_top_rules(&cov, false, &no_labels(&cand), 10);
         assert_eq!(top.len(), 1);
+        assert_eq!(top[0].rule.tree, 0, "the first of the duplicates is kept");
     }
 
     #[test]
     fn evaluation_keeps_precise_rule_and_drops_imprecise() {
         let (task, gold, cand) = toy();
-        let good = exact_rule(&task, false);
-        // A negative rule that fires exactly on the matching (diagonal)
-        // pairs has precision 0 — it must be dropped decisively.
-        let inverted = Rule {
-            predicates: vec![Predicate {
-                feature: task
-                    .feature_names()
-                    .iter()
-                    .position(|n| n == "name_exact")
-                    .unwrap(),
-                op: Op::Gt,
-                threshold: 0.5,
-                nan_satisfies: false,
-            }],
-            label: false,
-            tree: 9,
-            n_pos: 0,
-            n_neg: 0,
-        };
-        let scored = select_top_rules(
-            vec![good.clone(), inverted],
-            &cand,
-            None,
-            &HashSet::new(),
-            2,
-            Threads::new(2),
-        );
-        let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
-        let mut rng = StdRng::seed_from_u64(3);
+        // Both leaves say NO. The right one fires exactly on the matching
+        // (diagonal) pairs, so its precision is 0 — it must be dropped
+        // decisively.
+        let cov = route(vec![exact_tree(&task, false)], &cand);
+        let scored = select_top_rules(&cov, false, &no_labels(&cand), 2);
+        assert_eq!(scored.len(), 2);
         let mut labels = HashMap::new();
-        let out = evaluate_rules_jointly(
-            scored,
-            &cand,
-            &mut platform,
-            &gold,
-            &RuleEvalConfig::default(),
-            &mut rng,
-            &mut labels,
-        );
-        let good_eval = out.iter().find(|e| e.rule == good).unwrap();
+        let out = evaluate(scored, &cand, &gold, 3, &mut labels);
+        let is_good = |e: &&EvaluatedRule| e.rule.predicates[0].op == Op::Le;
+        let good_eval = out.iter().find(is_good).unwrap();
         assert!(good_eval.kept, "precise rule must be kept");
         assert!(good_eval.est_precision >= 0.95);
-        let bad_eval = out.iter().find(|e| e.rule != good).unwrap();
+        let bad_eval = out.iter().find(|e| !is_good(e)).unwrap();
         assert!(!bad_eval.kept, "imprecise rule must be dropped");
         assert!(!labels.is_empty(), "labels pool returned for reuse");
     }
@@ -436,21 +419,11 @@ mod tests {
     #[test]
     fn positive_rules_judged_against_positive_labels() {
         let (task, gold, cand) = toy();
-        let pos = exact_rule(&task, true); // exact > 0.5 → MATCH, covers diagonal
-        let scored = select_top_rules(vec![pos], &cand, None, &HashSet::new(), 1, Threads::new(1));
+        // exact > 0.5 → MATCH, covers the diagonal.
+        let cov = route(vec![exact_tree(&task, true)], &cand);
+        let scored = select_top_rules(&cov, true, &no_labels(&cand), 1);
         assert_eq!(scored[0].coverage.len(), 12);
-        let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut labels = HashMap::new();
-        let out = evaluate_rules_jointly(
-            scored,
-            &cand,
-            &mut platform,
-            &gold,
-            &RuleEvalConfig::default(),
-            &mut rng,
-            &mut labels,
-        );
+        let out = evaluate(scored, &cand, &gold, 4, &mut HashMap::new());
         assert!(out[0].kept);
         assert_eq!(out[0].est_precision, 1.0);
     }
@@ -458,22 +431,17 @@ mod tests {
     #[test]
     fn evaluation_is_frugal_with_labels() {
         let (task, gold, cand) = toy();
-        let good = exact_rule(&task, false);
-        let scored = select_top_rules(vec![good], &cand, None, &HashSet::new(), 1, Threads::new(1));
-        let mut platform = CrowdPlatform::new(WorkerPool::perfect(5), CrowdConfig::default());
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut labels = HashMap::new();
-        let out = evaluate_rules_jointly(
-            scored,
-            &cand,
-            &mut platform,
-            &gold,
-            &RuleEvalConfig::default(),
-            &mut rng,
-            &mut labels,
-        );
+        let cov = route(vec![exact_tree(&task, true)], &cand);
+        let scored = select_top_rules(&cov, false, &no_labels(&cand), 1);
+        let out = evaluate(scored, &cand, &gold, 5, &mut HashMap::new());
         // Coverage is 132; deciding at P=1 needs far fewer labels.
         assert!(out[0].n_labeled < 132, "labeled {}", out[0].n_labeled);
         assert!(out[0].kept);
+    }
+
+    #[test]
+    fn dense_labels_places_each_label_at_its_index() {
+        let labels: HashMap<usize, bool> = [(0, true), (3, false)].into_iter().collect();
+        assert_eq!(dense_labels(&labels, 4), vec![Some(true), None, None, Some(false)]);
     }
 }

@@ -470,7 +470,7 @@ mod tests {
     }
 
     fn rule(predicates: Vec<Predicate>) -> Rule {
-        Rule { predicates, label: false, tree: 0, n_pos: 0, n_neg: 0 }
+        Rule { predicates, label: false, tree: 0, leaf: 0, n_pos: 0, n_neg: 0 }
     }
 
     fn assert_equivalent(task: &MatchTask, rules: &[Rule]) {

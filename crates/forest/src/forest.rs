@@ -113,10 +113,23 @@ impl RandomForest {
         RandomForest { trees }
     }
 
+    /// Assemble a forest from trees, e.g. hand-written ones.
+    ///
+    /// # Panics
+    /// Panics if `trees` is empty.
+    pub fn from_trees(trees: Vec<DecisionTree>) -> Self {
+        assert!(!trees.is_empty(), "need at least one tree");
+        RandomForest { trees }
+    }
+
+    /// Number of trees voting "matched" for `x`.
+    pub(crate) fn positive_votes(&self, x: &[f64]) -> usize {
+        self.trees.iter().filter(|t| t.predict(x)).count()
+    }
+
     /// Fraction of trees voting "matched" for `x` — `P₊(e)` in Eq. 1.
     pub fn positive_fraction(&self, x: &[f64]) -> f64 {
-        let pos = self.trees.iter().filter(|t| t.predict(x)).count();
-        pos as f64 / self.trees.len() as f64
+        self.positive_votes(x) as f64 / self.trees.len() as f64
     }
 
     /// Majority-vote prediction (ties are "matched").
@@ -129,20 +142,20 @@ impl RandomForest {
     /// Ranges over `[0, ln 2]`; higher means stronger tree disagreement,
     /// i.e. a more informative example for active learning.
     pub fn entropy(&self, x: &[f64]) -> f64 {
-        let p = self.positive_fraction(x);
-        let mut h = 0.0;
-        if p > 0.0 {
-            h -= p * p.ln();
-        }
-        if p < 1.0 {
-            h -= (1.0 - p) * (1.0 - p).ln();
-        }
-        h
+        vote_entropy(self.positive_votes(x), self.trees.len())
     }
 
     /// Confidence `conf(e) = 1 − entropy(e)` (paper §5.3).
     pub fn confidence(&self, x: &[f64]) -> f64 {
         1.0 - self.entropy(x)
+    }
+
+    /// Entropy and confidence for every possible vote count. They take
+    /// only `n_trees + 1` values, so scans over many rows count votes and
+    /// look the answer up instead of taking two logarithms per row.
+    pub(crate) fn vote_table(&self) -> VoteTable {
+        let n = self.trees.len();
+        VoteTable { entropy: (0..=n).map(|v| vote_entropy(v, n)).collect() }
     }
 
     /// Majority-vote predictions for every row of a row-major `matrix`
@@ -163,8 +176,9 @@ impl RandomForest {
         indices: &[usize],
         threads: Threads,
     ) -> Vec<f64> {
+        let table = self.vote_table();
         exec::par_map(threads, indices, |&i| {
-            self.confidence(&matrix[i * n_features..(i + 1) * n_features])
+            table.confidence(self.positive_votes(&matrix[i * n_features..(i + 1) * n_features]))
         })
     }
 
@@ -177,8 +191,9 @@ impl RandomForest {
         indices: &[usize],
         threads: Threads,
     ) -> Vec<f64> {
+        let table = self.vote_table();
         exec::par_map(threads, indices, |&i| {
-            self.entropy(&matrix[i * n_features..(i + 1) * n_features])
+            table.entropy(self.positive_votes(&matrix[i * n_features..(i + 1) * n_features]))
         })
     }
 
@@ -207,6 +222,41 @@ impl RandomForest {
             }
         }
         acc
+    }
+}
+
+/// Vote entropy of an example with `votes` positive votes out of
+/// `n_trees` (Eq. 1). The one place the formula is evaluated, so
+/// [`RandomForest::entropy`] and [`VoteTable`] agree bit for bit.
+fn vote_entropy(votes: usize, n_trees: usize) -> f64 {
+    let p = votes as f64 / n_trees as f64;
+    let mut h = 0.0;
+    if p > 0.0 {
+        h -= p * p.ln();
+    }
+    if p < 1.0 {
+        h -= (1.0 - p) * (1.0 - p).ln();
+    }
+    h
+}
+
+/// A forest's vote entropy and confidence indexed by positive-vote count
+/// (see [`RandomForest::vote_table`]).
+#[derive(Debug, Clone)]
+pub(crate) struct VoteTable {
+    entropy: Vec<f64>,
+}
+
+impl VoteTable {
+    /// [`RandomForest::entropy`] of an example with `votes` positive votes.
+    pub(crate) fn entropy(&self, votes: usize) -> f64 {
+        self.entropy[votes]
+    }
+
+    /// [`RandomForest::confidence`] of an example with `votes` positive
+    /// votes.
+    pub(crate) fn confidence(&self, votes: usize) -> f64 {
+        1.0 - self.entropy[votes]
     }
 }
 
@@ -326,6 +376,51 @@ mod tests {
             assert_eq!(preds[i], f.predict(ds.row(i)));
             assert_eq!(confs[i], f.confidence(ds.row(i)));
             assert_eq!(ents[i], f.entropy(ds.row(i)));
+        }
+    }
+
+    /// `n` stumps on feature 0 at thresholds 0.5, 1.5, …: the vector
+    /// `[v]` gets exactly `v` positive votes.
+    fn staircase(n: usize) -> RandomForest {
+        use crate::tree::Node;
+        RandomForest::from_trees(
+            (0..n)
+                .map(|j| {
+                    DecisionTree::from_nodes(vec![
+                        Node::Split {
+                            feature: 0,
+                            threshold: j as f64 + 0.5,
+                            nan_left: true,
+                            left: 1,
+                            right: 2,
+                        },
+                        Node::Leaf { label: false, n_pos: 0, n_neg: 0 },
+                        Node::Leaf { label: true, n_pos: 0, n_neg: 0 },
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn vote_table_is_bit_identical_to_per_row_formula() {
+        for n in 1..=16 {
+            let f = staircase(n);
+            let table = f.vote_table();
+            for v in 0..=n {
+                let x = [v as f64];
+                assert_eq!(f.positive_votes(&x), v);
+                assert_eq!(
+                    table.entropy(v).to_bits(),
+                    f.entropy(&x).to_bits(),
+                    "entropy, {v} of {n} votes"
+                );
+                assert_eq!(
+                    table.confidence(v).to_bits(),
+                    f.confidence(&x).to_bits(),
+                    "confidence, {v} of {n} votes"
+                );
+            }
         }
     }
 

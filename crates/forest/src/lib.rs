@@ -17,6 +17,9 @@
 //!   a conjunctive rule; paths to "no" leaves are *negative rules* usable as
 //!   blocking/reduction rules, paths to "yes" leaves are *positive rules*
 //!   (paper §4.1 step 4, Fig. 2).
+//! * **Rule coverage by leaf routing** ([`RuleCoverage`]): the rows each
+//!   rule covers, for every rule of a forest, from one pass that routes
+//!   each row through every tree.
 //!
 //! Feature vectors are `f64` slices; `NaN` encodes a missing value and is
 //! routed at each split to the branch that was better during training.
@@ -40,6 +43,7 @@
 //! assert!(blocking_candidates.iter().all(|r| !r.label));
 //! ```
 
+pub mod coverage;
 pub mod data;
 pub mod forest;
 pub mod linear;
@@ -48,6 +52,7 @@ pub mod split;
 pub mod tree;
 
 pub use crate::forest::{ForestConfig, RandomForest};
+pub use coverage::RuleCoverage;
 pub use data::Dataset;
 pub use linear::{LogRegConfig, LogisticRegression};
 pub use rules::{extract_rules, negative_rules, positive_rules, Op, Predicate, Rule};

@@ -60,6 +60,9 @@ pub struct Rule {
     pub label: bool,
     /// Index of the tree the rule came from.
     pub tree: usize,
+    /// Arena index of the leaf the path ends at, in tree `tree`: the rule
+    /// covers exactly the vectors [`DecisionTree::leaf_of`] routes there.
+    pub leaf: usize,
     /// Positive training samples that reached the leaf.
     pub n_pos: u32,
     /// Negative training samples that reached the leaf.
@@ -150,6 +153,7 @@ fn walk(
             predicates: path.clone(),
             label: *label,
             tree: tree_idx,
+            leaf: cur,
             n_pos: *n_pos,
             n_neg: *n_neg,
         }),
@@ -276,6 +280,7 @@ mod tests {
             ],
             label: false,
             tree: 0,
+            leaf: 0,
             n_pos: 0,
             n_neg: 3,
         };
@@ -304,6 +309,7 @@ mod tests {
             }],
             label: false,
             tree: 0,
+            leaf: 0,
             n_pos: 0,
             n_neg: 9,
         };
@@ -313,7 +319,7 @@ mod tests {
 
     #[test]
     fn root_leaf_rule_displays() {
-        let r = Rule { predicates: vec![], label: true, tree: 0, n_pos: 4, n_neg: 0 };
+        let r = Rule { predicates: vec![], label: true, tree: 0, leaf: 0, n_pos: 4, n_neg: 0 };
         assert_eq!(r.to_string(), "(always) => MATCH");
         assert!(r.matches(&[1.0, 2.0]));
     }

@@ -150,12 +150,35 @@ impl DecisionTree {
         me
     }
 
-    /// Predict the class of a feature vector.
-    pub fn predict(&self, x: &[f64]) -> bool {
+    /// Assemble a tree from a node arena with the root at index 0, e.g. a
+    /// hand-written tree. Every split's children must come after it in
+    /// the arena (the layout [`DecisionTree::train`] produces), which
+    /// rules out cycles.
+    ///
+    /// # Panics
+    /// Panics if the arena is empty or a child index is out of order.
+    pub fn from_nodes(nodes: Vec<Node>) -> Self {
+        assert!(!nodes.is_empty(), "a tree needs at least one node");
+        for (i, node) in nodes.iter().enumerate() {
+            if let Node::Split { left, right, .. } = node {
+                for child in [*left as usize, *right as usize] {
+                    assert!(
+                        child > i && child < nodes.len(),
+                        "node {i}: child {child} must follow its parent in the arena"
+                    );
+                }
+            }
+        }
+        DecisionTree { nodes }
+    }
+
+    /// Arena index of the leaf `x` routes to: `x[feature] <= threshold`
+    /// goes left, `NaN` follows the split's learned side.
+    pub fn leaf_of(&self, x: &[f64]) -> usize {
         let mut cur = 0usize;
         loop {
             match &self.nodes[cur] {
-                Node::Leaf { label, .. } => return *label,
+                Node::Leaf { .. } => return cur,
                 Node::Split { feature, threshold, nan_left, left, right } => {
                     let v = x[*feature as usize];
                     let go_left = if v.is_nan() { *nan_left } else { v <= *threshold };
@@ -163,6 +186,11 @@ impl DecisionTree {
                 }
             }
         }
+    }
+
+    /// Predict the class of a feature vector: the label of its leaf.
+    pub fn predict(&self, x: &[f64]) -> bool {
+        matches!(self.nodes[self.leaf_of(x)], Node::Leaf { label: true, .. })
     }
 
     /// The node arena (root at index 0). Exposed for rule extraction.
@@ -312,6 +340,42 @@ mod tests {
         let ds = Dataset::new(1);
         let mut rng = StdRng::seed_from_u64(0);
         DecisionTree::train(&ds, &[], &TreeConfig::default(), &mut rng);
+    }
+
+    #[test]
+    fn leaf_of_lands_on_a_leaf_with_the_predicted_label() {
+        let ds = xor_like();
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let t = DecisionTree::train(&ds, &idx, &TreeConfig::default(), &mut rng);
+        for i in 0..ds.len() {
+            match t.nodes()[t.leaf_of(ds.row(i))] {
+                Node::Leaf { label, .. } => assert_eq!(label, t.predict(ds.row(i))),
+                Node::Split { .. } => panic!("row {i} stopped at a split"),
+            }
+        }
+    }
+
+    #[test]
+    fn from_nodes_round_trips_a_trained_arena() {
+        let ds = xor_like();
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let t = DecisionTree::train(&ds, &idx, &TreeConfig::default(), &mut rng);
+        let back = DecisionTree::from_nodes(t.nodes().to_vec());
+        assert_eq!(back.nodes(), t.nodes());
+    }
+
+    #[test]
+    #[should_panic(expected = "must follow its parent")]
+    fn from_nodes_rejects_a_cycle() {
+        DecisionTree::from_nodes(vec![Node::Split {
+            feature: 0,
+            threshold: 0.5,
+            nan_left: true,
+            left: 0,
+            right: 0,
+        }]);
     }
 
     #[test]

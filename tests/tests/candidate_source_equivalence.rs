@@ -103,6 +103,7 @@ fn to_rule(task: &MatchTask, spec: &[(usize, f64)]) -> Rule {
             .collect(),
         label: false,
         tree: 0,
+        leaf: 0,
         n_pos: 0,
         n_neg: 0,
     }
@@ -152,6 +153,7 @@ proptest! {
             }],
             label: false,
             tree: 0,
+            leaf: 0,
             n_pos: 0,
             n_neg: 0,
         };
